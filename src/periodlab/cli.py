@@ -479,9 +479,10 @@ def _run_sweep(args, handler):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
+        # parse_complex raises ValidationError from inside parse_args
+        args = parser.parse_args(argv)
+        handler = _HANDLERS[args.command]
         if args.sweep:
             text = _run_sweep(args, handler)
         else:

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ClearanceViolation,
     NearDiscriminant,
     NonConvergent,
     NumericalError,
@@ -282,13 +283,11 @@ def default_path(t_end, t_start=None) -> ParamPath:
     nz = np.flatnonzero(np.abs(coeffs) > 1e-14 * np.abs(coeffs).max())
     s_roots = np.roots(coeffs[nz[0]:]) if len(nz) else np.array([])
 
-    hazards = sorted(
-        s.real for s in s_roots
-        if abs(s.imag) <= 0.15 and -0.1 <= s.real <= 1.1)
+    near = [s for s in s_roots if abs(s.imag) <= 0.15 and -0.1 <= s.real <= 1.1]
+    hazards = sorted(s.real for s in near)
     svals: list[complex] = [0.0]
     cursor = 0.0
-    for s0 in [s for s in s_roots
-               if abs(s.imag) <= 0.15 and -0.1 <= s.real <= 1.1]:
+    for s0 in near:
         c = s0.real
         rho = max(0.2, 2.5 * abs(s0.imag))
         gaps = [abs(c - h) for h in hazards if abs(c - h) > 1e-12]
@@ -309,7 +308,7 @@ def default_path(t_end, t_start=None) -> ParamPath:
     waypoints = np.array([a0 + s * q for s in svals], dtype=np.complex128)
     try:
         return ParamPath(waypoints, discriminant=lambda pt: discriminant(pt))
-    except Exception as exc:
+    except ClearanceViolation as exc:
         raise NearDiscriminant(f"could not certify a path to {t_end}: {exc}")
 
 

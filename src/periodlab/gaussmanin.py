@@ -30,6 +30,7 @@ import numpy as np
 
 from . import elliptic
 from .errors import (
+    ClearanceViolation,
     NearDiscriminant,
     NonConvergent,
     NonIntegralMonodromy,
@@ -100,8 +101,8 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
     turns = int(turns)
     if turns == 0:
         raise ValidationError("turns must be a nonzero integer")
-    if not radius > 0:
-        raise ValidationError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValidationError("radius must be positive and finite")
     t2 = complex(t2)
     center = complex(center)
     n = sides * abs(turns)
@@ -111,7 +112,7 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
     waypoints[-1] = waypoints[0]
     try:
         return ParamPath(waypoints, discriminant=lambda pt: elliptic.discriminant(pt))
-    except Exception as exc:
+    except ClearanceViolation as exc:
         raise NearDiscriminant(f"loop touches the discriminant locus: {exc}")
 
 

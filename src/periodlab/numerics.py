@@ -38,6 +38,9 @@ DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# points per segment at which ParamPath samples |discriminant|
+_CERTIFICATE_SAMPLES = 33
+
 
 def _as_waypoints(waypoints) -> np.ndarray:
     arr = np.asarray(waypoints, dtype=np.complex128)
@@ -67,18 +70,15 @@ class ParamPath:
         linear interpolation of the waypoints is sampled and the observed
         minimum of |discriminant| is checked against ``clearance`` (or stored
         as the clearance when none was claimed).
-    samples_per_segment : int
-        Sampling density for the certificate check.
     """
 
-    def __init__(self, waypoints, clearance=None, discriminant=None,
-                 samples_per_segment: int = 33):
+    def __init__(self, waypoints, clearance=None, discriminant=None):
         self.waypoints = _as_waypoints(waypoints)
         if clearance is not None and not clearance > 0.0:
             raise ValidationError("clearance must be positive")
         self.clearance = None if clearance is None else float(clearance)
         if discriminant is not None:
-            observed = self._min_abs_discriminant(discriminant, samples_per_segment)
+            observed = self._min_abs_discriminant(discriminant)
             if self.clearance is None:
                 if not observed > 0.0:
                     raise ClearanceViolation(
@@ -90,8 +90,8 @@ class ParamPath:
                     f"observed |discriminant| {observed:.3e} below claimed "
                     f"clearance {self.clearance:.3e}")
 
-    def _min_abs_discriminant(self, discriminant, samples_per_segment: int) -> float:
-        u = np.linspace(0.0, 1.0, samples_per_segment)
+    def _min_abs_discriminant(self, discriminant) -> float:
+        u = np.linspace(0.0, 1.0, _CERTIFICATE_SAMPLES)
         worst = np.inf
         for start, velocity in self.segments():
             pts = start[None, :] + u[:, None] * velocity[None, :]

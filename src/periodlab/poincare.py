@@ -11,6 +11,8 @@ sees, fails already on products of the two standard generators).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,20 +158,14 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def _canonical_pairs(height):
-    """Coprime pairs with max(|a|,|b|) == height, one per {+,-} class."""
-    pairs = []
-    h = height
+def _canonical_pairs(h):
+    """Coprime pairs with max(|a|,|b|) == h, one per {+,-} class."""
     if h == 1:
-        base = [(0, 1), (1, 0), (1, 1), (1, -1)]
-        return base
-    for b in range(-h, h + 1):
-        if math.gcd(h, b) == 1:
-            pairs.append((h, b))
+        return [(0, 1), (1, 0), (1, 1), (1, -1)]
+    pairs = [(h, b) for b in range(-h, h + 1) if math.gcd(h, b) == 1]
     for a in range(1, h):
         if math.gcd(a, h) == 1:
-            pairs.append((a, h))
-            pairs.append((a, -h))
+            pairs += [(a, h), (a, -h)]
     return pairs
 
 
@@ -190,6 +186,25 @@ def _complete_rows(pair, stabilizer):
     raise ValidationError(f"unknown stabilizer id {stabilizer!r}")
 
 
+@functools.lru_cache(maxsize=4)
+def _coset_table(stabilizer, height):
+    """Coset representatives of heights 1..height in shell order.
+
+    Returns one read-only (N, 2, 2) int64 array and the end offset of each
+    height shell in it.
+    """
+    if height < 1:
+        raise ValidationError("height must be at least 1")
+    shells = [
+        np.array([_complete_rows(pair, stabilizer) for pair in _canonical_pairs(h)],
+                 dtype=np.int64)
+        for h in range(1, height + 1)
+    ]
+    table = np.concatenate(shells)
+    table.setflags(write=False)
+    return table, tuple(itertools.accumulate(map(len, shells)))
+
+
 def enumerate_cosets_sl2(stabilizer="upper", height=1):
     """Left-coset representatives of the triangular subgroup in SL(2,Z).
 
@@ -198,14 +213,9 @@ def enumerate_cosets_sl2(stabilizer="upper", height=1):
     either way the free datum is a coprime pair taken modulo overall
     sign, completed to determinant one by the extended gcd.
     """
-    if height < 1:
-        raise ValidationError("height must be at least 1")
-    reps = []
-    for h in range(1, height + 1):
-        for pair in _canonical_pairs(h):
-            rows = _complete_rows(pair, stabilizer)
-            reps.append(GroupElement(np.array(rows, dtype=np.int64), PSI2))
-    return CosetFamily(representatives=tuple(reps), stabilizer=stabilizer, height=height)
+    table, _ = _coset_table(stabilizer, height)
+    reps = tuple(GroupElement(a, PSI2) for a in table)
+    return CosetFamily(representatives=reps, stabilizer=stabilizer, height=height)
 
 
 def moebius(a, z):
@@ -228,11 +238,8 @@ def _random_sl2(rng, height=3):
         d = int(rng.integers(-height, height + 1))
         if math.gcd(c, d) != 1:
             continue
-        g, u, v = _ext_gcd(c, d)
-        if g < 0:
-            u, v = -u, -v
         shift = int(rng.integers(-2, 3))
-        base = np.array([[v, -u], [c, d]], dtype=np.int64)
+        base = np.array(_complete_rows((c, d), "upper"), dtype=np.int64)
         twist = np.array([[1, shift], [0, 1]], dtype=np.int64)
         return twist @ base
 
@@ -267,7 +274,7 @@ def slash(f, n, a, factor=classical_factor):
     return transformed
 
 
-def _shell_tail(heights, shell_sizes, tol):
+def _shell_tail(heights, shell_sizes):
     """Crude tail bound from the decay of the last two nonzero shells."""
     if len(shell_sizes) < 2:
         return np.inf
@@ -283,41 +290,52 @@ def _shell_tail(heights, shell_sizes, tol):
     return float(last * h_last / (-power - 1.0))
 
 
-def poincare_series_uhp(f, n, height, tau, factor=classical_factor, tol=1e-6):
-    """Truncated Poincare series sum_A j(tau,A)^(-n) f(A tau) over cosets.
+def _shell_series(stabilizer, height, terms, tol):
+    """Partial sums over the coset table, one complete height shell at a time.
 
-    Summation proceeds by complete height shells of the coset family of
-    the upper-triangular stabilizer; the report carries the partial sum
-    after each shell plus a tail estimate fitted to the shell decay.
+    ``terms`` maps a block of representatives (one shell of the table) to
+    its summands, which are added in order; the report carries the partial
+    sum after each shell plus a tail estimate fitted to the shell decay.
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValidationError("tau must lie in the upper half-plane")
-    heights, partials, sizes = [], [], []
+    table, ends = _coset_table(stabilizer, height)
+    heights = tuple(range(1, height + 1))
+    partials, sizes = [], []
     total = 0j
-    for h in range(1, height + 1):
-        shell = 0j
-        for pair in _canonical_pairs(h):
-            rows = _complete_rows(pair, "upper")
-            m = np.array(rows, dtype=float)
-            shell += factor(tau, m) ** (-n) * f(moebius(m, tau))
+    for start, end in zip((0,) + ends, ends):
+        shell = sum(terms(table[start:end]), 0j)
         total += shell
-        heights.append(h)
         partials.append(total)
         sizes.append(abs(shell))
-    tail = _shell_tail(heights, sizes, tol)
+    tail = _shell_tail(heights, sizes)
     settled = (
         len(partials) >= 2
         and abs(partials[-1] - partials[-2]) <= tol
         and tail <= tol
     )
     return PartialSumsReport(
-        heights=tuple(heights),
+        heights=heights,
         partial_sums=tuple(partials),
         tail_estimate=tail,
         tolerance=tol,
         converged=bool(settled),
     )
+
+
+def poincare_series_uhp(f, n, height, tau, factor=classical_factor, tol=1e-6):
+    """Truncated Poincare series sum_A j(tau,A)^(-n) f(A tau) over cosets.
+
+    Summation proceeds by complete height shells of the coset family of
+    the upper-triangular stabilizer (see ``_shell_series``).
+    """
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValidationError("tau must lie in the upper half-plane")
+
+    def terms(block):
+        return (factor(tau, a) ** (-n) * f(moebius(a, tau))
+                for a in block.astype(float))
+
+    return _shell_series("upper", height, terms, tol)
 
 
 _STAB_SAMPLES = {
@@ -369,30 +387,7 @@ def period_poincare(p, pm, stabilizer="lower", height=50, tol=1e-6, seed=0):
             tolerance=tol,
             converged=True,
         )
-    heights, partials, sizes = [], [], []
-    total = 0j
-    for h in range(1, height + 1):
-        shell = 0j
-        for pair in _canonical_pairs(h):
-            rows = _complete_rows(pair, stabilizer)
-            shell += p(np.asarray(rows, dtype=complex) @ x)
-        total += shell
-        heights.append(h)
-        partials.append(total)
-        sizes.append(abs(shell))
-    tail = _shell_tail(heights, sizes, tol)
-    settled = (
-        len(partials) >= 2
-        and abs(partials[-1] - partials[-2]) <= tol
-        and tail <= tol
-    )
-    return PartialSumsReport(
-        heights=tuple(heights),
-        partial_sums=tuple(partials),
-        tail_estimate=tail,
-        tolerance=tol,
-        converged=bool(settled),
-    )
+    return _shell_series(stabilizer, height, lambda block: map(p, block @ x), tol)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ class TestParseComplex:
     def test_rejects_garbage(self):
         with pytest.raises(ValidationError):
             parse_complex("four")
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text", ["abc", "inf"])
+    def test_unparsable_complex_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "periods", "--t2", text, "--t3", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
 
 
 class TestPeriods:
@@ -132,6 +142,16 @@ class TestMonodromy:
         assert doc["trace"] == 2
         assert doc["diagnostics"]["integer_deviation"] <= 1e-4
 
+    @pytest.mark.parametrize("flag,value", [("--center", "nan"), ("--radius", "inf")])
+    def test_non_finite_loop_exits_2(self, capsys, flag, value):
+        argv = {"--t2": "4", "--center": "0", "--radius": "1", flag: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "monodromy",
+                                 *[x for kv in argv.items() for x in kv])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
 
 class TestTransport:
     def test_waypoint_file(self, capsys, tmp_path):
@@ -249,6 +269,13 @@ class TestPoincareCommand:
         c = 45 / math.pi ** 4  # 1 / (2 zeta(4))
         assert abs(ratio - c) <= 1e-3 * c
         assert doc["diagnostics"]["shells"] == 60
+
+    def test_zero_height_exits_2(self, capsys):
+        code, out, err = run(capsys, "poincare", "--functional", "x11^-4",
+                             "--height", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
 
 
 class TestKhodaya:

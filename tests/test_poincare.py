@@ -114,6 +114,22 @@ class TestCosetEnumeration:
     def test_bad_height(self):
         with pytest.raises(ValidationError):
             enumerate_cosets_sl2("upper", 0)
+        with pytest.raises(ValidationError):
+            poincare_series_uhp(lambda z: 1.0, 4, 0, 0.3 + 1.1j)
+        with pytest.raises(ValidationError):
+            period_poincare(lambda x: x[0, 0] ** (-4), np.eye(2), "lower", 0)
+
+    def test_series_sum_over_bruteforce_classes(self, pm):
+        # both series sum over the same table; pin it against the oracle
+        height, tau = 12, 0.3 + 1.1j
+        x = pm.entries
+        classes = oracles.oracle_coset_classes(height)
+        ref_pp = sum((a * x[0, 0] + b * x[1, 0]) ** (-4) for a, b in classes)
+        ref_uhp = sum((c * tau + d) ** (-4) for c, d in classes)
+        pp = period_poincare(lambda m: m[0, 0] ** (-4), x, "lower", height).value
+        uhp = poincare_series_uhp(lambda z: 1.0, 4, height, tau).value
+        assert abs(pp - ref_pp) <= 1e-12 * abs(ref_pp)
+        assert abs(uhp - ref_uhp) <= 1e-12 * abs(ref_uhp)
 
 
 class TestCocycle:
