@@ -142,16 +142,16 @@ class TestMonodromy:
         assert doc["trace"] == 2
         assert doc["diagnostics"]["integer_deviation"] <= 1e-4
 
-    @pytest.mark.parametrize("flag,value", [("--center", "nan"), ("--radius", "inf")])
-    def test_non_finite_loop_exits_2(self, capsys, flag, value):
-        argv = {"--t2": "4", "--center": "0", "--radius": "1", flag: value}
+    @pytest.mark.parametrize("center,radius", [("nan", "1"), ("0", "inf")])
+    def test_non_finite_loop_exits_2(self, capsys, center, radius):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "monodromy",
-                                 *[x for kv in argv.items() for x in kv])
+            code, out, err = run(capsys, "monodromy", "--t2", "4",
+                                 "--center", center, "--radius", radius)
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
 
 class TestTransport:
     def test_waypoint_file(self, capsys, tmp_path):
