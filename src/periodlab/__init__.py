@@ -98,6 +98,7 @@ from .domain import (
     domain_dims,
     kodaira_spencer_count,
     lie_filtration_dims,
+    standard_type,
 )
 from .poincare import (
     CosetFamily,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import domain as domain_mod
 from . import elliptic, gaussmanin, hodge, modular, poincare
-from .errors import NumericalError, UnsupportedType, ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import DEFAULT_TOL, ParamPath
 
 
@@ -252,24 +252,9 @@ def cmd_hodge_check(args):
     }
 
 
-def _canonical_type(weight, h):
-    mu = sum(h)
-    if weight == 1 and len(h) == 2 and h[0] == h[1]:
-        return hodge.HodgeType(1, tuple(h), domain_mod._siegel_psi(h[0]))
-    if weight == 2 and len(h) == 3 and h[0] == h[2] == 1:
-        psi = np.diag([1] * h[1] + [-1, -1]).astype(np.int64)
-        return hodge.HodgeType(2, tuple(h), psi)
-    if weight == 3 and tuple(h) == (1, 1, 1, 1):
-        return hodge.HodgeType(3, (1, 1, 1, 1), domain_mod._siegel_psi(2))
-    raise UnsupportedType(
-        f"no built-in base point for weight {weight} with h = {tuple(h)}; "
-        f"supported: weight 1 h=(g,g), weight 2 h=(1,k,1), weight 3 h=(1,1,1,1)"
-    )
-
-
 def cmd_domain_dims(args):
     h = tuple(int(v) for v in args.hodge_numbers.split(","))
-    phi = _canonical_type(args.weight, h)
+    phi = domain_mod.standard_type(args.weight, h)
     report = domain_mod.domain_dims(phi)
     return {
         "command": "domain-dims",

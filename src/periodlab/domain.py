@@ -23,6 +23,7 @@ __all__ = [
     "classify_hermitian",
     "lie_filtration_dims",
     "domain_dims",
+    "standard_type",
     "base_point",
     "kodaira_spencer_count",
 ]
@@ -155,44 +156,49 @@ def _siegel_psi(g):
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def base_point(phi):
-    """A standard polarized point for the supported types.
+def standard_type(m, h):
+    """The built-in type of weight m and Hodge numbers h, else UnsupportedType.
 
-    Weight 1 (h = (g,g), standard symplectic form): the Siegel point
-    tau = i*Id. Weight 2 (h = (1,k,1), form diag(+1 x k, -1, -1)): the
-    quadric point e_{k+1} + i e_{k+2}. Weight 3, h = (1,1,1,1), standard
-    symplectic: an explicit flag built from e1 + i e3 and e2 - i e4.
-    Anything else must come with a caller-supplied point.
+    Psi is the standard symplectic form for h = (g,g) and h = (1,1,1,1),
+    and diag(+1 x k, -1, -1) for h = (1,k,1).
+    """
+    h = tuple(h)
+    if m == 1 and len(h) == 2 and h[0] == h[1]:
+        return HodgeType(1, h, _siegel_psi(h[0]))
+    if m == 2 and len(h) == 3 and h[0] == h[2] == 1:
+        return HodgeType(2, h, np.diag([1] * h[1] + [-1, -1]).astype(np.int64))
+    if m == 3 and h == (1, 1, 1, 1):
+        return HodgeType(3, h, _siegel_psi(2))
+    raise UnsupportedType(f"no built-in base point for weight {m} with h = {h}; supported: "
+                          "weight 1 h=(g,g), weight 2 h=(1,k,1), weight 3 h=(1,1,1,1)")
+
+
+def base_point(phi):
+    """A standard polarized point for a type equal to standard_type(m, h).
+
+    Weight 1: the Siegel point tau = i*Id. Weight 2: the quadric point
+    e_{k+1} + i e_{k+2}. Weight 3: an explicit flag built from e1 + i e3
+    and e2 - i e4. Any other type must come with a caller-supplied point.
     """
     m, h = phi.m, phi.h
+    if not np.array_equal(phi.psi, standard_type(m, h).psi):
+        raise UnsupportedType(f"no built-in base point for weight {m}, h = {h} with this form")
     if m == 1:
         g = h[0]
-        if h != (g, g) or not np.array_equal(phi.psi, _siegel_psi(g)):
-            raise UnsupportedType("weight-1 base point needs the standard symplectic type")
         top = np.vstack([1j * np.eye(g), np.eye(g)])
         return HodgeFiltration.from_levels(phi, (top,))
     if m == 2:
         k = h[1]
-        expected = np.diag([1] * k + [-1, -1]).astype(np.int64)
-        if h != (1, k, 1) or not np.array_equal(phi.psi, expected):
-            raise UnsupportedType(
-                "weight-2 base point needs h = (1,k,1) with the diag(+1..,-1,-1) form"
-            )
-        mu = phi.mu
-        v = np.zeros((mu, 1), dtype=complex)
+        v = np.zeros((phi.mu, 1), dtype=complex)
         v[k, 0] = 1.0
         v[k + 1, 0] = 1j
-        middle = np.hstack([v, np.eye(mu, k, dtype=complex)])
+        middle = np.hstack([v, np.eye(phi.mu, k, dtype=complex)])
         return HodgeFiltration.from_levels(phi, (middle, v))
-    if m == 3 and h == (1, 1, 1, 1):
-        if not np.array_equal(phi.psi, _siegel_psi(2)):
-            raise UnsupportedType("weight-3 base point needs the standard symplectic form")
-        v0 = np.array([[1.0], [0.0], [1j], [0.0]])
-        v1 = np.array([[0.0], [1.0], [0.0], [-1j]])
-        f2 = np.hstack([v0, v1])
-        f1 = np.hstack([v0, v1, np.conj(v1)])
-        return HodgeFiltration.from_levels(phi, (f1, f2, v0))
-    raise UnsupportedType(f"no built-in base point for weight {m}, h = {h}")
+    v0 = np.array([[1.0], [0.0], [1j], [0.0]])
+    v1 = np.array([[0.0], [1.0], [0.0], [-1j]])
+    f2 = np.hstack([v0, v1])
+    f1 = np.hstack([v0, v1, np.conj(v1)])
+    return HodgeFiltration.from_levels(phi, (f1, f2, v0))
 
 
 def kodaira_spencer_count(n, d):

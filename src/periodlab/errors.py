@@ -32,11 +32,6 @@ class NonConvergent(NumericalError):
     """Refinement exhausted its budget without meeting the tolerance."""
 
 
-# Quadrature failures are a flavour of non-convergence; callers that only
-# care about integrals can catch this alias.
-QuadratureFailure = NonConvergent
-
-
 class NearDiscriminant(NumericalError):
     """Parameters too close to the discriminant locus for reliable work."""
 

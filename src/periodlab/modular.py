@@ -8,13 +8,13 @@ Neither calls the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _zeta  # _zeta(x, q) is the Hurwitz zeta
 
 from .errors import NearCusp, NonConvergent, RealTau, UnsupportedType, ValidationError
-from .qseries import QSeries, eisenstein_normalized
+from .qseries import QSeries, bernoulli, eisenstein_normalized
 
 __all__ = [
     "G6_SIGN",
@@ -83,22 +83,37 @@ _FIT_TERMS = 6
 
 _CHECKPOINTS = (24, 36, 54, 81, 122, 183, 274, 411)
 
+# B_2j / (2j)! for j = 1..7: the Euler-Maclaurin correction coefficients
+_EM_COEFF = [float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, 8)]
+
+
+def _zeta_tail(s, n):
+    """sum_{m > n} (n/m)^s = n^s zeta(s, n+1), for integer s >= 2, n >= 1.
+
+    Terms below a = max(n+1, 2s) are summed outright, the rest by Euler-Maclaurin
+    at a (DLMF 25.11), an asymptotic series that diverges once s > ~2 pi a.
+    """
+    a = max(n + 1, 2 * s)
+    em, t = a / (s - 1) + 0.5, s / a
+    for j, b in enumerate(_EM_COEFF):
+        em += b * t
+        t *= (s + 2 * j + 1) * (s + 2 * j + 2) / (a * a)
+    return sum((n / m) ** s for m in range(n + 1, a)) + (n / a) ** s * em
+
 
 def _tail_estimate(k, shells, n_cut):
     """Tail sum_{S > n_cut} f(S) from the Euler-Maclaurin form of the shells.
 
-    A shell at radius S contributes f(S) = S^(1-k) (c0 + c1/S + ...); the
-    coefficients are fitted on the trailing window and the tail is then
-    summed exactly with Hurwitz zeta values.
+    A shell at radius S contributes f(S) = sum_j d_j u^(1-k-j) with
+    u = S/n_cut; the coefficients are fitted on the trailing window, where
+    u lies in [1/2, 1], and the tail is then summed with _zeta_tail.
     """
     lo = max(n_cut // 2, 4)
-    window = np.arange(lo, n_cut + 1)
-    g = np.array([shells[s] for s in window]) * window.astype(float) ** (k - 1)
-    basis = np.vander(1.0 / window, _FIT_TERMS, increasing=True)
+    u = np.arange(lo, n_cut + 1) / n_cut
+    g = np.array([shells[s] for s in range(lo, n_cut + 1)]) * u ** (k - 1)
+    basis = np.vander(1.0 / u, _FIT_TERMS, increasing=True)
     coeff, *_ = np.linalg.lstsq(basis, g, rcond=None)
-    return sum(
-        c * _zeta(k - 1 + j, n_cut + 1) for j, c in enumerate(coeff)
-    )
+    return sum(c * _zeta_tail(k - 1 + j, n_cut) for j, c in enumerate(coeff))
 
 
 def eisenstein_lattice(k, lat, tol=1e-10):
@@ -132,20 +147,32 @@ def eisenstein_lattice(k, lat, tol=1e-10):
     )
 
 
-_ZETA_EVEN = {4: np.pi ** 4 / 90.0, 6: np.pi ** 6 / 945.0}
-
-
 def _riemann_zeta(k):
-    if k in _ZETA_EVEN:
-        return _ZETA_EVEN[k]
-    return float(_zeta(k, 1))
+    head = sum(float(n) ** -k for n in range(24, 0, -1))
+    return 24.0 ** -k * _zeta_tail(k, 24) + head
 
 
-def _q_terms_needed(q_abs):
+def _q_terms_needed(q_abs, k):
+    """Terms of the weight-k q-expansion to keep at nome modulus q_abs.
+
+    The n-th term is about (2k/|B_k|) n^(k-1) |q|^n, which peaks near
+    n = (k-1)/ln(1/|q|); the count runs past the peak until that bound
+    drops below 1e-17, using 2k/|B_k| = k (2 pi)^k / (k! zeta(k)) with
+    zeta(k) >= 1, so no Bernoulli number has to fit in a float. Past 1024
+    terms, or with coefficients beyond the float range, it raises NearCusp.
+    """
     if q_abs >= 0.9:
         raise NearCusp(f"nome modulus {q_abs:.3f} too close to 1 for the q-expansion")
-    n = int(np.ceil(-37.0 / np.log10(q_abs))) + 2
-    return min(max(n, 8), 1024)
+    log_q = math.log(q_abs)
+    log_mult = math.log(k) + k * math.log(2 * math.pi) - math.lgamma(k + 1)
+    n = max(int(np.ceil(-37.0 / np.log10(q_abs))) + 2, 8, math.ceil((1 - k) / log_q))
+    while n <= 1024 and log_mult + (k - 1) * math.log(n) + n * log_q >= math.log(1e-17):
+        n += 1
+    if n > 1024 or log_mult + (k - 1) * math.log(n) > 700:
+        raise NearCusp(
+            f"weight-{k} q-expansion at nome modulus {q_abs:.3g} is out of float reach"
+        )
+    return n
 
 
 def eisenstein_q(k, tau, n_terms=None):
@@ -162,7 +189,7 @@ def eisenstein_q(k, tau, n_terms=None):
         raise RealTau(f"tau = {tau} not in the upper half-plane")
     q = np.exp(2j * np.pi * tau)
     if n_terms is None:
-        n_terms = _q_terms_needed(abs(q))
+        n_terms = _q_terms_needed(abs(q), k)
     series = eisenstein_normalized(k, n_terms)
     return 2.0 * _riemann_zeta(k) * series.evaluate(q)
 

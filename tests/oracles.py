@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own numerical routes:
 periods come from Carlson symmetric integrals (mpmath, 25 digits), j
 from mpmath's kleinj, Eisenstein values from naive truncated double
-sums, and the case classifier from a direct transcription of its
-defining conditions. Frozen constants record oracle outputs so the
-tests stay fast and drift becomes visible.
+sums, Hurwitz zeta tails from direct sums, and the case classifier
+from a direct transcription of its defining conditions. Frozen
+constants record oracle outputs so the tests stay fast and drift
+becomes visible.
 """
 
 import math
@@ -67,6 +68,28 @@ def oracle_eisenstein(k, omega1, omega2, radius=400):
     vals = pts ** (-float(k))
     vals[radius, radius] = 0.0
     return complex(vals.sum())
+
+
+# --- Hurwitz zeta tails: direct sums ----------------------------------------
+
+def oracle_zeta_tails(n, powers, bits=256):
+    """n^s zeta(s, n+1) = sum_{m > n} (n/m)^s for increasing powers, to 30 digits.
+
+    The terms m < 40n are kept as integers scaled by 2^bits, each stepped
+    from the previous power with one floor; the rest is n^s mp.zeta(s, 40n).
+    mp.zeta(s, n+1) is not used: near s = 35, n = 411 it is off by about
+    1e-9, even at 60 digits.
+    """
+    terms = [(1 << bits, m) for m in range(n + 1, 40 * n)]
+    out, prev = {}, 0
+    for s in powers:
+        step, prev = s - prev, s
+        terms = [(t * n ** step // m ** step, m) for t, m in terms]
+        terms = [(t, m) for t, m in terms if t]
+        with mp.workdps(30):
+            head = mp.mpf(sum(t for t, _ in terms)) / 2 ** bits
+            out[s] = head + mp.mpf(n) ** s * mp.zeta(s, 40 * n)
+    return out
 
 
 # --- case classifier: direct transcription ----------------------------------

@@ -124,6 +124,11 @@ class TestModularCommands:
         code, _, _ = run(capsys, "eisenstein", "--k", "4")
         assert code == 2
 
+    def test_large_weight(self, capsys):
+        doc = run_json(capsys, "eisenstein", "--k", "200", "--tau", "i")
+        assert doc["value"][0] == pytest.approx(4.0, rel=1e-12)
+        assert doc["diagnostics"]["cross_method_deviation"] < 1e-10
+
     def test_odd_weight_exits_2(self, capsys):
         code, _, err = run(capsys, "eisenstein", "--k", "5", "--tau", "2i")
         assert code == 2

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,8 +9,11 @@ from periodlab.errors import (
     ValidationError,
 )
 from periodlab.modular import (
+    _CHECKPOINTS,
     G6_SIGN,
     Lattice,
+    _riemann_zeta,
+    _zeta_tail,
     eisenstein_lattice,
     eisenstein_q,
     full_modular_weight_check,
@@ -36,6 +40,21 @@ class TestLattice:
         assert scaled.omega1 == pytest.approx(mu * lat.omega1)
 
 
+class TestZetaKernel:
+    def test_tail_matches_direct_sums(self):
+        powers = list(range(3, 41)) + [100, 200, 1000]
+        for n in _CHECKPOINTS:
+            ref = oracles.oracle_zeta_tails(n, powers)
+            for s in powers:
+                assert _zeta_tail(s, n) == pytest.approx(float(ref[s]), rel=1e-13), (s, n)
+
+    def test_riemann_zeta(self):
+        for k in list(range(4, 100, 2)) + [200, 1000]:
+            with mp.workdps(30):
+                ref = float(mp.zeta(k))
+            assert _riemann_zeta(k) == pytest.approx(ref, rel=1e-15), k
+
+
 class TestEisensteinLattice:
     def test_square_lattice_value(self):
         val = eisenstein_lattice(4, Lattice(2j, 1.0))
@@ -49,6 +68,13 @@ class TestEisensteinLattice:
             mine = eisenstein_lattice(k, lat)
             ref = oracles.oracle_eisenstein(k, lat.omega1, lat.omega2)
             assert abs(mine - ref) < tol
+
+    @pytest.mark.parametrize("k", [200, 400])
+    def test_large_weight_matches_direct_sum(self, k):
+        # points past radius 6 add about 7^-k, far below rounding
+        direct = sum((m * 1j + n) ** (-k) for m in range(-6, 7) for n in range(-6, 7)
+                     if (m, n) != (0, 0))
+        assert eisenstein_lattice(k, Lattice.from_tau(1j)) == pytest.approx(direct, rel=1e-12)
 
     def test_weight_homogeneity(self):
         lat = Lattice(0.2 + 1.4j, 1.0)
@@ -94,6 +120,19 @@ class TestCrossMethod:
     def test_near_cusp_refused(self):
         with pytest.raises(NearCusp):
             eisenstein_q(4, 0.001j)
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
+    @pytest.mark.parametrize("k", [60, 100])
+    def test_high_weight_q_expansion(self, k, tau):
+        # the q-terms peak near n = (k-1)/ln(1/|q|), past the weight-4 count
+        lattice = eisenstein_lattice(k, Lattice.from_tau(tau))
+        assert eisenstein_q(k, tau) == pytest.approx(lattice, rel=1e-10)
+
+    # more than 1024 terms; coefficients past the float range
+    @pytest.mark.parametrize("k,tau", [(100, 0.03j), (400, 0.5j)])
+    def test_high_weight_out_of_reach_refused(self, k, tau):
+        with pytest.raises(NearCusp):
+            eisenstein_q(k, tau)
 
 
 class TestWeierstrassInvariants:
