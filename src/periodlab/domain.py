@@ -1,9 +1,9 @@
 """Period-domain dimension counts and the Hermitian classification.
 
-Everything is computed at a point by plain linear algebra on the Lie
-algebra of the form-preserving group; closed-form dimension formulas
-(Siegel g(g+1)/2, symplectic/orthogonal algebra dimensions) live in the
-tests as oracles, not here.
+Everything is computed at a point as nullspaces on an explicit basis of
+the Lie algebra g of the form-preserving group; closed-form dimension
+formulas (Siegel g(g+1)/2, symplectic/orthogonal algebra dimensions) live
+in the tests as oracles, not here.
 """
 
 from __future__ import annotations
@@ -60,36 +60,21 @@ def classify_hermitian(m, h):
     return HermitianCase.NO
 
 
-def _lie_algebra_rows(psi):
-    """Constraint rows over vec(N) for N^T Psi + Psi N = 0."""
-    mu = psi.shape[0]
-    rows = np.zeros((mu * mu, mu * mu), dtype=complex)
-    for a in range(mu):
-        for b in range(mu):
-            e = np.zeros((mu, mu))
-            e[a, b] = 1.0
-            rows[:, a * mu + b] = (e.T @ psi + psi @ e).flatten()
-    return rows
+def _lie_basis(phi):
+    """Basis of g = {N : N^T Psi + Psi N = 0} as a (dim g, mu, mu) stack.
 
-
-def _containment_rows(basis_from, space_to, mu):
-    """Rows forcing N * basis_from to lie inside the span of space_to."""
-    comp = np.eye(mu) - projector(space_to)
-    out = np.zeros((mu * basis_from.shape[1], mu * mu), dtype=complex)
-    for a in range(mu):
-        for b in range(mu):
-            e = np.zeros((mu, mu))
-            e[a, b] = 1.0
-            out[:, a * mu + b] = (comp @ e @ basis_from).flatten()
-    return out
-
-
-def _nullity(rows, unknowns):
-    if rows.shape[0] == 0:
-        return unknowns
-    s = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(s > _SV_TOL * (s[0] if s.size else 1.0)))
-    return unknowns - rank
+    Since Psi^T = (-1)^m Psi, the solutions are N = Psi^-1 X with X
+    symmetric for odd m and skew for even m; X runs over the unit
+    matrices E_ab +- E_ba of the upper triangle, and each N is scaled to
+    unit norm.
+    """
+    mu = phi.mu
+    a, b = np.triu_indices(mu, k=1 - phi.m % 2)
+    x = np.zeros((a.size, mu, mu))
+    x[np.arange(a.size), a, b] = 1.0
+    x += (-1) ** (phi.m + 1) * x.transpose(0, 2, 1)
+    basis = np.linalg.inv(phi.psi) @ x
+    return basis / np.linalg.norm(basis, axis=(1, 2), keepdims=True)
 
 
 def lie_filtration_dims(point):
@@ -97,20 +82,21 @@ def lie_filtration_dims(point):
 
     F^i(g) collects the form-preserving endomorphisms N with
     N(F^p) inside F^(p+i) for every p; the result is nondecreasing as i
-    drops and tops out at dim g itself.
+    drops and tops out at dim g itself. Each containment is linear in the
+    coefficients of N on the basis of g, so F^i(g) is a nullspace there.
     """
     phi = point.phi
-    mu = phi.mu
-    lie_rows = _lie_algebra_rows(phi.psi.astype(complex))
+    basis = _lie_basis(phi)
+    comp = [np.eye(phi.mu) - projector(f) for f in point.levels]
     dims = []
-    for i in range(0, -(phi.m) - 1, -1):
-        blocks = [lie_rows]
-        for p in range(1, phi.m + 1):
-            target = p + i
-            if target < 1:
-                continue
-            blocks.append(_containment_rows(point.level(p), point.level(target), mu))
-        dims.append(_nullity(np.vstack(blocks), mu * mu))
+    for i in range(0, -phi.m - 1, -1):
+        conditions = [(comp[p + i] @ basis @ point.levels[p]).reshape(len(basis), -1)
+                      for p in range(1 - i, phi.m + 1)]
+        rank = 0
+        if conditions:
+            s = np.linalg.svd(np.hstack(conditions), compute_uv=False)
+            rank = int(np.sum(s > _SV_TOL * max(1.0, s[0])))
+        dims.append(len(basis) - rank)
     return tuple(dims)
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearCusp, NonConvergent, RealTau, UnsupportedType, ValidationError
+from .errors import (NearCusp, NonConvergent, NumericalError, RealTau, UnsupportedType,
+                     ValidationError)
 from .qseries import QSeries, bernoulli, eisenstein_normalized
 
 __all__ = [
@@ -122,7 +123,8 @@ def eisenstein_lattice(k, lat, tol=1e-10):
     Shells of max-norm radius S are summed outright and the remainder
     beyond the current radius is completed from the shells' asymptotic
     expansion; the result converges when two successive completions agree
-    to tol/2. Raising the radius cap is the only recourse past that.
+    to tol/2. Raising the radius cap is the only recourse past that. A
+    sum that leaves the float range raises NumericalError.
     """
     if k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
@@ -133,15 +135,21 @@ def eisenstein_lattice(k, lat, tol=1e-10):
     partial = 0j
     top = 0
     previous = None
-    for n_cut in _CHECKPOINTS:
-        for s in range(top + 1, n_cut + 1):
-            shells[s] = _shell_sum(k, w1, w2, s)
-            partial += shells[s]
-        top = n_cut
-        value = partial + _tail_estimate(k, shells, n_cut)
-        if previous is not None and abs(value - previous) <= 0.5 * tol:
-            return complex(value)
-        previous = value
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for n_cut in _CHECKPOINTS:
+                for s in range(top + 1, n_cut + 1):
+                    shells[s] = _shell_sum(k, w1, w2, s)
+                    partial += shells[s]
+                top = n_cut
+                value = partial + _tail_estimate(k, shells, n_cut)
+                if not np.isfinite(value):  # lstsq runs under its own error state
+                    raise FloatingPointError
+                if previous is not None and abs(value - previous) <= 0.5 * tol:
+                    return complex(value)
+                previous = value
+    except FloatingPointError:
+        raise NumericalError(f"E_{k} of this lattice is outside the float range") from None
     raise NonConvergent(
         f"lattice sum for E_{k} did not stabilize to {tol} within radius {top}"
     )

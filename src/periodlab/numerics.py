@@ -217,6 +217,7 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
 
         sigma = 0.0
         h = 0.1 if max_step is None else min(0.1, max_step)
+        k1 = f(sigma, Y)
         while sigma < 1.0:
             if 1.0 - sigma < h_floor:
                 break  # roundoff remainder, not a genuine underflow
@@ -224,7 +225,7 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
             if h < h_floor:
                 raise StepUnderflow(
                     f"step {h:.3e} below floor {h_floor:.3e} at sigma={sigma}")
-            k = [f(sigma, Y)]
+            k = [k1]
             for i in range(1, 7):
                 Yi = Y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
                 k.append(f(sigma + _DP_C[i] * h, Yi))
@@ -233,7 +234,8 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
             if not np.isfinite(err):
                 raise NonFiniteRHS("non-finite state during integration")
             if err <= tol:
-                Y = Y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
+                # the last stage is the 5th-order solution at sigma + h (FSAL)
+                Y, k1 = Yi, k[6]
                 sigma += h
             budget -= 1
             if budget <= 0:

@@ -132,6 +132,32 @@ def palindromic_vectors(mu_max, m):
     return out
 
 
+# --- Lie filtration dims: every entry of N an unknown ------------------------
+
+def oracle_lie_filtration_dims(point):
+    """dim F^i(g) for i = 0..-m by the dense system over all mu^2 entries of N.
+
+    At each level the rows of N^T Psi + Psi N = 0 are stacked with the rows
+    of (1 - P_(p+i)) N F^p = 0 for every p with p + i >= 1, one column per
+    matrix unit E_ab, and the nullity is read off one SVD.
+    """
+    phi = point.phi
+    mu, psi = phi.mu, phi.psi.astype(complex)
+    units = np.eye(mu * mu).reshape(-1, mu, mu)  # E_ab in row-major order
+    lie = np.array([(e.T @ psi + psi @ e).flatten() for e in units]).T
+    dims = []
+    for i in range(0, -phi.m - 1, -1):
+        blocks = [lie]
+        for p in range(1 - i, phi.m + 1):
+            target = point.level(p + i)
+            comp = np.eye(mu) - target @ target.conj().T
+            blocks.append(np.array([(comp @ e @ point.level(p)).flatten()
+                                    for e in units]).T)
+        s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+        dims.append(mu * mu - int(np.sum(s > 1e-8 * s[0])))
+    return tuple(dims)
+
+
 # --- brute-force coset classes ----------------------------------------------
 
 def oracle_coset_classes(height):

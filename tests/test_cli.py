@@ -129,6 +129,15 @@ class TestModularCommands:
         assert doc["value"][0] == pytest.approx(4.0, rel=1e-12)
         assert doc["diagnostics"]["cross_method_deviation"] < 1e-10
 
+    def test_beyond_float_range_exits_3(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eisenstein", "--k", "200",
+                                 "--omega1", "0.01i", "--omega2", "0.01")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericalError"
+
     def test_odd_weight_exits_2(self, capsys):
         code, _, err = run(capsys, "eisenstein", "--k", "5", "--tau", "2i")
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from periodlab.domain import (
     DomainReport,
     HermitianCase,
+    _lie_basis,
     base_point,
     classify_hermitian,
     domain_dims,
@@ -11,7 +12,7 @@ from periodlab.domain import (
     lie_filtration_dims,
 )
 from periodlab.errors import UnsupportedType, ValidationError
-from periodlab.hodge import HodgeType, decomposition_from_filtration
+from periodlab.hodge import HodgeType, decomposition_from_filtration, group_element_action
 
 import oracles
 
@@ -88,6 +89,37 @@ class TestDimensions:
             DomainReport(2, 3, 1, 1, HermitianCase.NO, (1,))
         with pytest.raises(ValidationError):
             DomainReport(2, 2, 1, 5, HermitianCase.NO, (1,))
+
+
+class TestLieBasis:
+    """The explicit basis of g against the dense mu^2-unknown formulation."""
+
+    @pytest.mark.parametrize("phi", [siegel_type(1), siegel_type(2), weight2_type(1),
+                                     weight2_type(3), WEIGHT3],
+                             ids=["1,1", "2,2", "1,1,1", "1,3,1", "1,1,1,1"])
+    def test_matches_dense_oracle(self, phi):
+        point = base_point(phi)
+        assert lie_filtration_dims(point) == oracles.oracle_lie_filtration_dims(point)
+
+    def test_matches_dense_oracle_at_moved_point(self):
+        shear = np.block([[np.eye(2, dtype=int), np.array([[1, 2], [2, -1]])],
+                          [np.zeros((2, 2), dtype=int), np.eye(2, dtype=int)]])
+        point = group_element_action(shear, base_point(WEIGHT3))
+        dims = oracles.oracle_lie_filtration_dims(point)
+        assert lie_filtration_dims(point) == dims
+        assert domain_dims(WEIGHT3, point).lie_dims == dims
+
+    @pytest.mark.parametrize("phi", [siegel_type(3), WEIGHT3, weight2_type(1),
+                                     weight2_type(4)],
+                             ids=["odd-3,3", "odd-1,1,1,1", "even-1,1,1", "even-1,4,1"])
+    def test_basis_spans_the_lie_algebra(self, phi):
+        basis = _lie_basis(phi)
+        psi = phi.psi
+        for n in basis:
+            assert np.max(np.abs(n.T @ psi + psi @ n)) < 1e-14
+        assert np.linalg.matrix_rank(basis.reshape(len(basis), -1)) == len(basis)
+        # at i = -m no containment applies: the dense count is dim g itself
+        assert len(basis) == oracles.oracle_lie_filtration_dims(base_point(phi))[-1]
 
 
 class TestBasePoint:

@@ -1,9 +1,12 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from periodlab.errors import (
     NearCusp,
+    NumericalError,
     RealTau,
     UnsupportedType,
     ValidationError,
@@ -75,6 +78,15 @@ class TestEisensteinLattice:
         direct = sum((m * 1j + n) ** (-k) for m in range(-6, 7) for n in range(-6, 7)
                      if (m, n) != (0, 0))
         assert eisenstein_lattice(k, Lattice.from_tau(1j)) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("k,lat", [(200, Lattice(0.01j, 0.01)),
+                                       (50, Lattice(1e-8j, 1e-8))],
+                             ids=["k200-omega0.01", "k50-omega1e-8"])
+    def test_beyond_float_range_refused(self, k, lat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="outside the float range"):
+                eisenstein_lattice(k, lat)
 
     def test_weight_homogeneity(self):
         lat = Lattice(0.2 + 1.4j, 1.0)
