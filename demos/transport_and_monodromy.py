@@ -5,8 +5,9 @@ Parallel transport of periods and the integer matrix around a singular fiber
 Periods satisfy a linear ODE in the family parameters (a rank-2
 connection). Transporting a period matrix along a path and integrating
 around a closed loop exposes two facts: open-path transport reproduces
-direct quadrature at the endpoint, and a loop around a zero of the
-discriminant returns the periods changed by an integer unipotent matrix.
+the period matrix computed at the endpoint from Carlson's closed forms,
+and a loop around a zero of the discriminant returns the periods changed
+by an integer unipotent matrix.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from periodlab import (
     transport,
 )
 
-# --- open path: transport vs quadrature ---------------------------------
+# --- open path: transport vs the closed forms ----------------------------
 a = (4.0, 0.0)
 b = (4.0, 1.0)
 path = ParamPath([a, b], discriminant=discriminant)
@@ -28,10 +29,10 @@ print("path clearance (sampled estimate of min |Delta|, not a bound):", path.cle
 
 pm_a = period_matrix(a)
 pm_b = transport(path, pm_a)
-quad = period_matrix(b)
+direct = period_matrix(b)
 print("transported end:\n", pm_b.entries)
-print("max deviation vs quadrature:",
-      np.max(np.abs(pm_b.entries - quad.entries)))
+print("max deviation vs the closed forms:",
+      np.max(np.abs(pm_b.entries - direct.entries)))
 print("det drift along the path:", abs(pm_b.det - pm_a.det))
 
 # --- closed loop: monodromy ----------------------------------------------

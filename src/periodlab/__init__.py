@@ -2,7 +2,9 @@
 and the surrounding modular / Hodge-theoretic machinery.
 
 The pieces fit together as follows: ``elliptic`` computes period
-matrices of y^2 = 4x^3 - t2 x - t3 by direct quadrature, ``gaussmanin``
+matrices of y^2 = 4x^3 - t2 x - t3 from Carlson's symmetric integrals,
+with the cycle basis continued from an anchor by integer rounding,
+``gaussmanin``
 moves them around parameter space by integrating the Picard-Fuchs
 connection (monodromy included), ``modular`` inverts the construction
 through Eisenstein series and j, ``hodge`` and ``domain`` handle the

@@ -9,15 +9,18 @@ Cycle-basis convention.  At the anchor parameter ``(4, 0)`` the cubic has
 roots -1, 0, 1 and the two rows are the cycles over the real segments
 [-1, 0] and [0, 1], oriented so that the period ratio ``tau`` (first column,
 row 1 over row 2) lies in the upper half plane and the determinant equals
-``SIGMA * 2*pi*i``.  Every other parameter inherits its basis by continuous
-transport from the anchor along a default path that detours around the
-discriminant locus.  Entry values are always computed by direct quadrature
-between branch points; the transport only resolves the integer change of
-basis, so its own accuracy requirement is mild.
+``SIGMA * 2*pi*i``.  Every other parameter inherits its basis by continuation
+from the anchor along a default path that detours around the discriminant
+locus.  Entry values are always Carlson closed forms (R_F, R_D) of cycles
+around cuts between branch points, at machine precision; the continuation
+only resolves the integer change of basis, by rounding ``T Q^-1`` from one
+step point to the next, and runs no ODE.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,15 +32,13 @@ from .errors import (
     NonConvergent,
     NumericalError,
     RealTau,
+    StepUnderflow,
     ValidationError,
     ZeroT0,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    ParamPath,
-    nearest_integer_matrix,
-    quad_sqrt_singular,
-)
+from .numerics import DEFAULT_TOL, ParamPath, _carlson_rd, _carlson_rf
+# Not called here: perfbench/tracer.py wraps it by this module's name.
+from .numerics import quad_sqrt_singular  # noqa: F401
 
 TWO_PI_I = 2j * np.pi
 
@@ -143,16 +144,18 @@ def curve_roots(t) -> np.ndarray:
     return roots
 
 
-def _segment_cycle(e_a: complex, e_b: complex, e_c: complex, tol: float):
+def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):
     """Integrals of (dx/y, x dx/y) over the cycle around the cut [e_a, e_b].
 
-    The branch of ``y = 2 sqrt((x-e_a)(x-e_b)(x-e_c))`` is kept continuous
-    along the open segment by factoring each difference against the segment
-    parametrization; the cycle integral is twice the segment integral.
+    On the cut ``x = e_a + u d`` with ``d = e_b - e_a`` and
+    ``zeta = d / (e_a - e_c)``, the branch of
+    ``y = 2 sqrt((x-e_a)(x-e_b)(x-e_c))`` is kept continuous by factoring it
+    as ``sqrt(u) sqrt(d) sqrt(1-u) sqrt(-d) sqrt(e_a-e_c) sqrt(1+zeta u)``
+    with principal roots.  The u-integrals of ``1/sqrt(u(1-u)(1+zeta u))``
+    and ``u/sqrt(...)`` are ``2 R_F(0, 1, 1+zeta)`` and
+    ``(2/3) R_D(0, 1+zeta, 1)``; the cycle integral is twice the cut one.
     """
     d = e_b - e_a
-    sq_d = np.sqrt(complex(d))
-    sq_md = np.sqrt(complex(-d))
     ac = e_a - e_c
     zeta = d / ac
     # 1 + u*zeta traces the segment [1, 1 + zeta]; if it passes through the
@@ -160,41 +163,36 @@ def _segment_cycle(e_a: complex, e_b: complex, e_c: complex, tol: float):
     t_min = min(max(-zeta.real / max(abs(zeta) ** 2, 1e-300), 0.0), 1.0)
     if abs(1.0 + t_min * zeta) < 1e-6:
         raise NonConvergent("third branch point lies on the cut")
-    sq_ac = np.sqrt(complex(ac))
-
-    def inv_y(x: complex) -> complex:
-        u = min(max(((x - e_a) / d).real, 0.0), 1.0)
-        y = 2.0 * (np.sqrt(u) * sq_d) * (np.sqrt(1.0 - u) * sq_md) \
-            * (sq_ac * np.sqrt(1.0 + u * zeta))
-        return 1.0 / y
-
-    i0 = quad_sqrt_singular(inv_y, e_a, e_b, tol)
-    i1 = quad_sqrt_singular(lambda x: x * inv_y(x), e_a, e_b, tol)
-    return 2.0 * i0, 2.0 * i1
+    pre = 2.0 * d / (cmath.sqrt(d) * cmath.sqrt(-d) * cmath.sqrt(ac))
+    rf = _carlson_rf(0.0, 1.0, 1.0 + zeta)
+    rd = _carlson_rd(0.0, 1.0 + zeta, 1.0)
+    return pre * rf, pre * (e_a * rf + d * rd / 3.0)
 
 
 _PAIRINGS = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
 
 
-def _quadrature_matrix(t, tol: float) -> np.ndarray:
+def _carlson_matrix(t):
     """Period matrix of ``t`` over two cut cycles sharing a branch point.
 
-    The rows form a symplectic basis up to sign and integer change of basis;
-    which one depends on the root configuration, so callers needing the
-    transported anchor basis must still align the rows.
+    Returned as nested tuples ``((row1), (row2))``.  The rows form a
+    symplectic basis up to sign and integer change of basis; which one
+    depends on the root configuration, so callers needing the anchor basis
+    must still align the rows.
     """
-    roots = curve_roots(t)
+    roots = [complex(e) for e in curve_roots(t)]
     last_error: Exception | None = None
     for (ia, ib, ic) in _PAIRINGS:
         try:
-            row1 = _segment_cycle(roots[ia], roots[ib], roots[ic], tol)
-            row2 = _segment_cycle(roots[ib], roots[ic], roots[ia], tol)
+            row1 = _segment_cycle(roots[ia], roots[ib], roots[ic])
+            row2 = _segment_cycle(roots[ib], roots[ic], roots[ia])
         except NonConvergent as exc:
             last_error = exc
             continue
-        Q = np.array([row1, row2], dtype=np.complex128)
-        if abs(abs(np.linalg.det(Q)) - 2.0 * np.pi) < 1e-4 * (1.0 + np.abs(Q).max() ** 2):
-            return Q
+        det = row1[0] * row2[1] - row1[1] * row2[0]
+        size = max(abs(v) for v in row1 + row2)
+        if abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + size ** 2):
+            return row1, row2
         last_error = NumericalError("cycle pair failed the determinant check")
     raise NonConvergent(f"no usable branch-cut pairing: {last_error}")
 
@@ -236,14 +234,14 @@ class PeriodMatrix2:
             raise NumericalError("period ratio not in the upper half plane")
 
 
-@lru_cache(maxsize=8)
-def _anchor_matrix(tol: float) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _anchor_matrix() -> np.ndarray:
     """Oriented period matrix at the anchor (4, 0).
 
     Row 1 is the cycle over [-1, 0] with positive real period; row 2 over
     [0, 1], oriented so the period ratio has positive imaginary part.
     """
-    Q = _quadrature_matrix((BASE_T2, BASE_T3), tol)
+    Q = np.array(_carlson_matrix((BASE_T2, BASE_T3)), dtype=np.complex128)
     if Q[0, 0].real < 0:
         Q[0] = -Q[0]
     if (Q[0, 0] / Q[1, 0]).imag < 0:
@@ -307,39 +305,115 @@ def default_path(t_end, t_start=None) -> ParamPath:
 
     waypoints = np.array([a0 + s * q for s in svals], dtype=np.complex128)
     try:
-        return ParamPath(waypoints, discriminant=lambda pt: discriminant(pt))
+        return ParamPath(waypoints, discriminant=discriminant)
     except ClearanceViolation as exc:
         raise NearDiscriminant(f"could not certify a path to {t_end}: {exc}")
 
 
-def period_matrix(t, tol: float = DEFAULT_TOL) -> PeriodMatrix2:
-    """Period matrix of ``t`` in the basis transported from the anchor.
+# Largest distance from the nearest integer matrix at which T Q^-1 counts
+# as a clean rounding in the basis continuation.
+_ROUNDING_GATE = 0.3
+# Smallest continuation step, in the parameter of one path segment.
+_STEP_FLOOR = 256.0 * float(np.finfo(np.float64).eps)
 
-    Entry values come from quadrature between branch points at the requested
-    tolerance; a moderate-accuracy transport of the anchor matrix along the
-    default path identifies which integer combination of the quadrature
-    cycles is the transported basis.
+
+def _integer_change(T, Q):
+    """``round(T Q^-1)`` as nested int tuples, or None when it is not clean.
+
+    Clean means every entry lies within ``_ROUNDING_GATE`` of its integer
+    and the integer matrix is unimodular.
+    """
+    (t00, t01), (t10, t11) = T
+    (q00, q01), (q10, q11) = Q
+    det = q00 * q11 - q01 * q10
+    entries = ((t00 * q11 - t01 * q10) / det, (t01 * q00 - t00 * q01) / det,
+               (t10 * q11 - t11 * q10) / det, (t11 * q00 - t10 * q01) / det)
+    ints = []
+    for v in entries:
+        if not (abs(v.imag) < _ROUNDING_GATE and abs(v.real) < 2.0 ** 52):
+            return None  # also a non-finite entry, which round() refuses
+        n = round(v.real)
+        if abs(v - n) >= _ROUNDING_GATE:
+            return None
+        ints.append(n)
+    n00, n01, n10, n11 = ints
+    if abs(n00 * n11 - n01 * n10) != 1:
+        return None
+    return (n00, n01), (n10, n11)
+
+
+def _apply(N, Q):
+    """The integer combination ``N Q`` of the rows of ``Q``."""
+    (n00, n01), (n10, n11) = N
+    (q00, q01), (q10, q11) = Q
+    return ((n00 * q00 + n01 * q10, n00 * q01 + n01 * q11),
+            (n10 * q00 + n11 * q10, n10 * q01 + n11 * q11))
+
+
+def _continue_basis(waypoints, T):
+    """Carry the cycle basis of ``T`` along a polygon by integer rounding.
+
+    At each step point the Carlson matrix Q is computed directly, and the
+    continued matrix becomes ``N Q`` with ``N = round(T Q^-1)``.  A step
+    from s to s + h on a segment is accepted only when the direct rounding
+    and two half-steps agree on N; it then doubles, otherwise it halves.
+    The step carries over from one segment to the next.  Returns the
+    continued matrix at the last waypoint, which is ``N Q`` there.
+    """
+    h = 1.0
+    for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:])):
+        if a == b:
+            continue
+        cache = {}  # a rejected step's midpoint is the next step's end
+
+        def carlson_at(s):
+            if s not in cache:
+                pt = b if s == 1.0 else [u + s * (v - u) for u, v in zip(a, b)]
+                cache[s] = _carlson_matrix(pt)
+            return cache[s]
+
+        s = 0.0
+        while s < 1.0:
+            h = min(h, 1.0 - s)
+            if h < _STEP_FLOOR:
+                raise StepUnderflow(
+                    f"continuation step {h:.3e} below floor {_STEP_FLOOR:.3e} "
+                    f"at s={s} of segment {k} on the path to t={waypoints[-1]}")
+            end = 1.0 if h == 1.0 - s else s + h
+            Q_end = carlson_at(end)
+            N = _integer_change(T, Q_end)
+            if N is not None:
+                Q_mid = carlson_at(s + 0.5 * h)
+                N_mid = _integer_change(T, Q_mid)
+                if N_mid is not None and \
+                        _integer_change(_apply(N_mid, Q_mid), Q_end) == N:
+                    T = _apply(N, Q_end)
+                    s = end
+                    h *= 2.0
+                    continue
+            h *= 0.5
+    return T
+
+
+def period_matrix(t, tol: float = DEFAULT_TOL) -> PeriodMatrix2:
+    """Period matrix of ``t`` in the basis continued from the anchor.
+
+    The entries are Carlson closed forms of two cut cycles at ``t``
+    (machine precision); the integer combination of them that is the
+    continued anchor basis comes from rounding along the default path (see
+    ``_continue_basis``).  ``tol`` bounds the determinant check.
     """
     p = as_weierstrass(t)
     _require_away_from_discriminant(p)
-    anchor = _anchor_matrix(min(tol, 1e-11))
+    anchor = _anchor_matrix()
     if p.t2 == BASE_T2 and p.t3 == BASE_T3:
         return PeriodMatrix2(anchor)
 
-    Q = _quadrature_matrix(p, tol / 4.0)
-
-    from . import gaussmanin  # deferred: gaussmanin imports this module
-
     path = default_path(p)
-    T = gaussmanin.transport_entries(path, anchor, tol=1e-8)
-    M = T @ np.linalg.inv(Q)
-    try:
-        M_int, _ = nearest_integer_matrix(M, 5e-2)
-    except NonConvergent as exc:
-        raise NonConvergent(f"basis alignment failed at t=({p.t2}, {p.t3}): {exc}")
-    if abs(abs(round(float(np.linalg.det(M_int.astype(float))))) - 1) != 0:
-        raise NumericalError("basis alignment produced a non-unimodular matrix")
-    P = PeriodMatrix2(M_int @ Q)
+    # end on t itself: the path's last waypoint is a0 + 1.0 * (t - a0)
+    waypoints = path.waypoints[:-1].tolist() + [[p.t2, p.t3]]
+    T = _continue_basis(waypoints, anchor.tolist())
+    P = PeriodMatrix2(T)
     P.validate(max(100.0 * tol, 1e-7))
     return P
 

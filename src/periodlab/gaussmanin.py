@@ -111,7 +111,7 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
     waypoints = np.column_stack([np.full(n + 1, t2), t3])
     waypoints[-1] = waypoints[0]
     try:
-        return ParamPath(waypoints, discriminant=lambda pt: elliptic.discriminant(pt))
+        return ParamPath(waypoints, discriminant=elliptic.discriminant)
     except ClearanceViolation as exc:
         raise NearDiscriminant(f"loop touches the discriminant locus: {exc}")
 

@@ -16,10 +16,16 @@ The two workhorses are
     integrates a function with at worst inverse square-root endpoint
     behaviour along a straight segment, by a substitution that removes the
     half-power singularities followed by Gauss-Legendre refinement.
+
+The private kernels ``_carlson_rf`` and ``_carlson_rd`` evaluate Carlson's
+symmetric elliptic integrals by duplication in plain complex arithmetic;
+they give ``elliptic`` its cut-cycle closed forms.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -286,6 +292,92 @@ def quad_sqrt_singular(integrand: Callable[[complex], complex], a, b,
         n *= 2
     raise NonConvergent(
         f"quadrature did not stabilize to {tol:.3e} within {max_nodes} nodes")
+
+
+# Relative truncation error aimed at by the Carlson duplication kernels.
+_CARLSON_R = 1e-16
+# Duplications before a kernel gives up; each one divides the spread of
+# the arguments by 4, so a convergent case needs far fewer.
+_CARLSON_MAX_STEPS = 100
+
+
+def _carlson_scale(x: complex, y: complex, z: complex) -> float:
+    """Largest modulus of the arguments, by which both kernels divide them.
+
+    R_F and R_D are homogeneous of degrees -1/2 and -3/2 under positive
+    scaling, so working at unit size keeps the duplication away from
+    overflow and underflow.
+    """
+    m = max(abs(x), abs(y), abs(z))
+    if not 0.0 < m < float("inf"):
+        raise NonConvergent(f"Carlson arguments out of range: {x}, {y}, {z}")
+    return m
+
+
+def _duplicate(x: complex, y: complex, z: complex) -> complex:
+    sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+    return sx * sy + sx * sz + sy * sz
+
+
+def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_F(x, y, z) by duplication (Carlson 1995, DLMF 19.36.1).
+
+    Arguments lie off the cut (-inf, 0], at most one of them zero; square
+    roots are principal.  Raises ``NonConvergent`` when the duplication
+    cannot reach the stopping test (two zero arguments, where R_F diverges).
+    """
+    m = _carlson_scale(x, y, z)
+    x, y, z = x / m, y / m, z / m
+    a0 = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = (3.0 * _CARLSON_R) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a0 - z))
+    a, scale = a0, 1.0
+    for _ in range(_CARLSON_MAX_STEPS):
+        if q * scale < abs(a):
+            X, Y = dx * scale / a, dy * scale / a
+            Z = -X - Y
+            e2, e3 = X * Y - Z * Z, X * Y * Z
+            return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+                    - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(a * m)
+        lam = _duplicate(x, y, z)
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        scale /= 4.0
+    raise NonConvergent("R_F duplication did not converge")
+
+
+def _carlson_rd(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_D(x, y, z) by duplication (Carlson 1995, DLMF 19.36.2).
+
+    All arguments lie off the cut (-inf, 0], ``z`` is nonzero and at most
+    one of ``x``, ``y`` is zero; square roots are principal.  Raises
+    ``NonConvergent`` when the duplication cannot reach the stopping test.
+    """
+    m = _carlson_scale(x, y, z)
+    x, y, z = x / m, y / m, z / m
+    a0 = (x + y + 3.0 * z) / 5.0
+    dx, dy = a0 - x, a0 - y
+    q = (_CARLSON_R / 4.0) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a0 - z))
+    a, scale, tail = a0, 1.0, 0.0
+    for _ in range(_CARLSON_MAX_STEPS):
+        if q * scale < abs(a):
+            X, Y = dx * scale / a, dy * scale / a
+            Z = -(X + Y) / 3.0
+            xy, zz = X * Y, Z * Z
+            e2 = xy - 6.0 * zz
+            e3 = (3.0 * xy - 8.0 * zz) * Z
+            e4 = 3.0 * (xy - zz) * zz
+            e5 = xy * zz * Z
+            series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+                      - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+            value = (scale * series / (a * cmath.sqrt(a)) + 3.0 * tail) / m / math.sqrt(m)
+            if not cmath.isfinite(value):
+                raise NonConvergent("R_D is outside the float range")
+            return value
+        lam = _duplicate(x, y, z)
+        tail += scale / (cmath.sqrt(z) * (z + lam))
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        scale /= 4.0
+    raise NonConvergent("R_D duplication did not converge")
 
 
 def nearest_integer_matrix(M, tol: float):

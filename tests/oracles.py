@@ -1,7 +1,9 @@
 """Independent reference implementations and frozen constants.
 
 Everything here deliberately avoids the package's own numerical routes:
-periods come from Carlson symmetric integrals (mpmath, 25 digits), j
+period lattices come from Carlson symmetric integrals (mpmath, 25
+digits), single cut cycles from Gauss-Legendre quadrature of the
+integrand (the package's Carlson closed forms are what they check), j
 from mpmath's kleinj, Eisenstein values from naive truncated double
 sums, Hurwitz zeta tails from direct sums, and the case classifier
 from a direct transcription of its defining conditions. Frozen
@@ -9,10 +11,13 @@ constants record oracle outputs so the tests stay fast and drift
 becomes visible.
 """
 
+import cmath
 import math
 
 import mpmath as mp
 import numpy as np
+
+from periodlab.numerics import quad_sqrt_singular
 
 mp.mp.dps = 25
 
@@ -30,6 +35,39 @@ def oracle_lattice(t2, t3):
     wa = 2 * mp.elliprf(0, e1 - e3, e1 - e2)
     wb = 2 * mp.elliprf(0, e3 - e1, e3 - e2)
     return complex(wa), complex(wb)
+
+
+def oracle_segment_cycle(e_a, e_b, e_c, tol=1e-10):
+    """(dx/y, x dx/y) over the cycle around the cut [e_a, e_b], by quadrature.
+
+    A route independent of the Carlson closed forms, on the same branch:
+    y = 2 sqrt((x-e_a)(x-e_b)(x-e_c)) is factored against x = e_a + u d,
+    d = e_b - e_a, as sqrt(u) sqrt(d) sqrt(1-u) sqrt(-d) sqrt(e_a-e_c)
+    sqrt(1+zeta u) with principal roots. ``tol`` is relative to the
+    integral's scale 1/|sqrt(e_a - e_c)|.
+    """
+    d = e_b - e_a
+    ac = e_a - e_c
+    zeta = d / ac
+    sq_d, sq_md, sq_ac = cmath.sqrt(d), cmath.sqrt(-d), cmath.sqrt(ac)
+
+    def inv_y(x):
+        u = min(max(((x - e_a) / d).real, 0.0), 1.0)
+        y = 2.0 * (math.sqrt(u) * sq_d) * (math.sqrt(1.0 - u) * sq_md) \
+            * (sq_ac * cmath.sqrt(1.0 + u * zeta))
+        return 1.0 / y
+
+    # split the cut where it passes closest to e_c, so that a near-singular
+    # point of the integrand sits at the clustered end nodes of both pieces
+    u_near = -zeta.real / abs(zeta) ** 2
+    ends = [e_a, e_a + u_near * d, e_b] if 0.0 < u_near < 1.0 else [e_a, e_b]
+    scale = 1.0 / abs(sq_ac)
+    i0 = i1 = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        i0 += quad_sqrt_singular(inv_y, lo, hi, tol * scale)
+        i1 += quad_sqrt_singular(lambda x: x * inv_y(x), lo, hi,
+                                 tol * scale * max(abs(e_a), abs(e_b)))
+    return 2.0 * i0, 2.0 * i1
 
 
 def lattice_coordinates(z, w1, w2):
@@ -204,6 +242,75 @@ J_QCOEFFS = (1, 744, 196884, 21493760, 864299970, 20245856256)
 # monodromy around the positive t3 discriminant root at t2 = 4
 T3_ROOT = math.sqrt(64.0 / 27.0)
 M_LOOP = np.array([[1, 0], [-1, 1]])
+
+# (t2, t3, period matrix) at the 2 pinned and the 8 band_slow points of
+# perfbench/refs/periods.json (rtol 1e-8 there), copied as frozen. The
+# matrices came from period_matrix by Gauss quadrature plus ODE basis
+# transport, which took 91-105 s at 5 band_slow points, and from ODE
+# transport alone along the default path (tol 1e-12) at the 3 where that
+# route failed with NonConvergent after 274-299 s.
+PERIODS_HARD = [
+    ((0.493-2.4352j),  # pinned
+     (0.3519+0.6665j),
+     [[(7.149243495687299+2.4228519604426833j),
+       (1.0153181581427835-0.4207139069311292j)],
+      [(0.9037050698062232-2.53246423287708j),
+       (-0.4112097377716815-1.1523377548912395j)]]),
+    ((1.1773-1.2437j),  # pinned
+     (0.1485-0.4049j),
+     [[(2.8903256921357685+0.595556306041531j),
+       (-1.091873893267201+0.22498380504024212j)],
+      [(1.270844708143176-7.483723713961641j),
+       (0.24695121860511587+0.7012854532528534j)]]),
+    ((1.8807502816014559+0.42441227041944707j),  # band_slow
+     (-0.48708839972022583-0.16844481778599515j),
+     [[(6.798862302299569+1.0152311788293469j),
+       (0.473693265866035+0.5846599684115993j)],
+      [(-0.15888093913793633-2.8603978958514342j),
+       (0.0636898442105226-1.146616510526286j)]]),
+    ((-1.096303312091896-0.41706911304901784j),  # band_slow
+     (0.1269444766838795-0.20899104933008028j),
+     [[(7.079087732209406+2.9431583792758014j),
+       (-0.18303432602887026-0.7707582199126346j)],
+      [(-5.00308641704675-5.435680881542202j),
+       (-0.4660233306542161-0.008548936160755582j)]]),
+    ((-0.944714782133544+1.3777875966010464j),  # band_slow
+     (-0.4123854215656198-0.04733321278709175j),
+     [[(2.5427408650137004-1.5339905095385218j),
+       (-0.94859074052583-0.5721999497418637j)],
+      [(1.5118565609591816-8.027594633633234j),
+       (-1.819124535380503-0.9139300910034817j)]]),
+    ((-0.719071015001596+0.5141852726663245j),  # band_slow
+     (0.12832498612428295+0.0954533327509328j),
+     [[(10.830341847741884+0.2708288291278578j),
+       (-0.6301972066864494+1.7579210954471156j)],
+      [(-2.0517127634202232-2.812799244792483j),
+       (0.5568527762980345-0.763422626028191j)]]),
+    ((-1.996895245779332-1.7853673719340575j),  # band_slow
+     (0.7499031122599517-0.3857399116681771j),
+     [[(7.287801572044733-0.7576973466377535j),
+       (-1.066614656360678-1.9937534231639449j)],
+      [(1.496374728488746-2.1736089236133687j),
+       (-0.7068828358730271-1.0268923466784383j)]]),
+    ((-1.116591929304453-1.4031371933911496j),  # band_slow
+     (-0.45072941621217827+0.10212917649348828j),
+     [[(2.470520447821947+1.551434152408333j),
+       (-0.9550297359720913+0.5997374242323303j)],
+      [(0.19731909576280451-8.872926196591445j),
+       (1.9110094480596005-0.265426915197975j)]]),
+    ((-1.063288755461364-0.27883476296186904j),  # band_slow
+     (-0.08328385507195031+0.20555743379376967j),
+     [[(5.7588597144122025-5.438044083133284j),
+       (0.15094597102681734+0.5080231855161947j)],
+      [(3.282944017840739-7.615136900623694j),
+       (0.9003073006593926-0.15088700143259542j)]]),
+    ((-2.5729152768130445-0.7169344063593188j),  # band_slow
+     (0.33303879024024796-0.7711703741795736j),
+     [[(6.739632260557685+2.6744948494610243j),
+       (-0.11193774840854276-1.4150095499013025j)],
+      [(-5.003442464809029-4.664216963726455j),
+       (-0.7071548187569232+0.47630453774697323j)]]),
+]
 
 
 def check_anchor():

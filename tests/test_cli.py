@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from periodlab import errors
 from periodlab.cli import main, parse_complex
-from periodlab.errors import ValidationError
+from periodlab.errors import NumericalError, ValidationError
 
 import oracles
 
@@ -79,6 +80,16 @@ class TestPeriods:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "NearDiscriminant"
+
+    def test_path_through_a_root_exits_3(self, capsys):
+        # the default path to this regular point returns through a
+        # discriminant root, so the basis cannot be continued to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "periods", "--t2", "4", "--t3", "1.539")
+        assert code == 3
+        assert out == ""
+        assert issubclass(getattr(errors, json.loads(err)["error"]), NumericalError)
 
 
 class TestTolerancePlumbing:

@@ -1,6 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from periodlab import elliptic, gaussmanin, numerics
 from periodlab.elliptic import (
     SIGMA,
     KhodayaPoint,
@@ -195,3 +199,49 @@ class TestDefaultPath:
         t = (4.0, 1.539)
         path = default_path(t)
         assert path.clearance > 1e-3
+
+
+class TestCarlsonCycles:
+    def test_matches_quadrature_oracle(self):
+        # the closed forms take the branch the quadrature integrand takes,
+        # so the cycles agree with no sign freedom at every pairing
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 25:
+            t2, t3 = (cmath.rect(10.0 ** rng.uniform(-2, 3), rng.uniform(-math.pi, math.pi))
+                      for _ in range(2))
+            if abs(discriminant((t2, t3))) < 1e-2 * (1 + abs(t2) ** 3 + abs(t3) ** 2):
+                continue
+            roots = [complex(e) for e in curve_roots((t2, t3))]
+            for ia, ib, ic in elliptic._PAIRINGS:
+                got = elliptic._segment_cycle(roots[ia], roots[ib], roots[ic])
+                want = oracles.oracle_segment_cycle(roots[ia], roots[ib], roots[ic])
+                scale = max(abs(w) for w in want)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-10 * scale, (t2, t3, ia, ib, ic)
+            checked += 1
+
+
+def _close_to_frozen(got, ref):
+    ref = np.array(ref)
+    return np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestHardPoints:
+    @pytest.mark.parametrize("t2,t3,ref", oracles.PERIODS_HARD,
+                             ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
+    def test_frozen_reference(self, t2, t3, ref):
+        assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)
+
+    def test_no_ode_and_no_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("period_matrix must not call this")
+
+        monkeypatch.setattr(gaussmanin, "integrate_linear_ode", forbidden)
+        monkeypatch.setattr(numerics, "integrate_linear_ode", forbidden)
+        monkeypatch.setattr(gaussmanin, "transport_entries", forbidden)
+        monkeypatch.setattr(numerics, "quad_sqrt_singular", forbidden)
+        monkeypatch.setattr(elliptic, "quad_sqrt_singular", forbidden)
+        monkeypatch.setattr(numerics, "leggauss", forbidden)
+        t2, t3, ref = oracles.PERIODS_HARD[2]  # a band_slow point
+        assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)

@@ -1,3 +1,7 @@
+import cmath
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -11,6 +15,8 @@ from periodlab.errors import (
 )
 from periodlab.numerics import (
     LinearODESystem,
+    _carlson_rd,
+    _carlson_rf,
     ParamPath,
     integrate_linear_ode,
     nearest_integer_matrix,
@@ -190,3 +196,63 @@ class TestNearestInteger:
     def test_rejects_far_matrix(self):
         with pytest.raises(NonConvergent):
             nearest_integer_matrix(np.array([[0.4]]), 1e-4)
+
+
+def _polar(rng, quadrant=None):
+    """|z| log-uniform in [1e-6, 1e6]; the argument in ``quadrant`` (0-3) or anywhere."""
+    if quadrant is None:
+        theta = rng.uniform(-math.pi, math.pi)
+    else:
+        theta = (quadrant + rng.uniform(0.0, 1.0)) * 0.5 * math.pi
+    return cmath.rect(10.0 ** rng.uniform(-6.0, 6.0), theta)
+
+
+def _assert_kernels_match_mpmath(triples):
+    with mp.workdps(30):
+        for x, y, z in triples:
+            for mine, ref in ((_carlson_rf, mp.elliprf), (_carlson_rd, mp.elliprd)):
+                want = complex(ref(x, y, z))
+                got = mine(x, y, z)
+                assert abs(got - want) <= 1e-13 * abs(want), (mine.__name__, x, y, z)
+
+
+class TestCarlsonKernels:
+    @pytest.mark.parametrize("quadrant", [0, 1, 2, 3])
+    def test_against_mpmath_per_quadrant(self, quadrant):
+        rng = np.random.default_rng(40 + quadrant)
+        triples = [(_polar(rng, quadrant), _polar(rng), _polar(rng)) for _ in range(60)]
+        triples += [(_polar(rng, quadrant),) * 2 + (_polar(rng, quadrant),) for _ in range(10)]
+        _assert_kernels_match_mpmath(triples)
+
+    def test_near_coincident_arguments(self):
+        rng = np.random.default_rng(44)
+        triples = []
+        for _ in range(80):
+            x = _polar(rng)
+            close = x * (1.0 + 10.0 ** rng.uniform(-12, -3) * cmath.exp(1j * rng.uniform(-3, 3)))
+            triples.append(tuple(rng.permutation([x, close, _polar(rng)])))
+        _assert_kernels_match_mpmath(triples)
+
+    def test_one_argument_zero(self):
+        rng = np.random.default_rng(45)
+        triples = [(0.0, _polar(rng), _polar(rng)) for _ in range(60)]
+        triples += [(_polar(rng), 0.0, _polar(rng)) for _ in range(20)]
+        # the shapes the cycle integrals use: R_F(0, 1, 1+zeta), R_D(0, 1+zeta, 1)
+        for _ in range(40):
+            w = 1.0 + _polar(rng)
+            triples += [(0.0, 1.0, w), (0.0, w, 1.0)]
+        _assert_kernels_match_mpmath(triples)
+
+    @pytest.mark.parametrize("kernel", [_carlson_rf, _carlson_rd])
+    def test_tiny_mean_stops_with_typed_error(self, kernel):
+        # two zero arguments: the duplication mean shrinks by 4 each round,
+        # as fast as the stopping bound, so the loop must give up
+        with pytest.raises(NonConvergent):
+            kernel(0.0, 0.0, 1.0)
+        with pytest.raises(NonConvergent):
+            kernel(0.0, 0.0, 0.0)
+
+    def test_tiny_scale(self):
+        assert _carlson_rf(1e-300, 1e-300, 1e-300) == pytest.approx(1e150, rel=1e-14)
+        with pytest.raises(NonConvergent):
+            _carlson_rd(1e-300, 1e-300, 1e-300)  # 1e450 is past the float range
