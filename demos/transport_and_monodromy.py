@@ -3,11 +3,12 @@ Parallel transport of periods and the integer matrix around a singular fiber
 ============================================================================
 
 Periods satisfy a linear ODE in the family parameters (a rank-2
-connection). Transporting a period matrix along a path and integrating
-around a closed loop exposes two facts: open-path transport reproduces
-the period matrix computed at the endpoint from Carlson's closed forms,
-and a loop around a zero of the discriminant returns the periods changed
-by an integer unipotent matrix.
+connection). Transporting a period matrix along an open path reproduces
+the period matrix computed at the endpoint from Carlson's closed forms.
+Around a closed loop, monodromy follows the closed forms themselves,
+fixing the integer change of cycle basis by rounding at each step; a loop
+around a zero of the discriminant returns the periods changed by an
+integer unipotent matrix.
 """
 
 import numpy as np
@@ -37,7 +38,9 @@ print("det drift along the path:", abs(pm_b.det - pm_a.det))
 
 # --- closed loop: monodromy ----------------------------------------------
 # At t2 = 4 the discriminant vanishes where 27 t3^2 = 64. Circling one
-# of those points cannot bring the cycle basis back unchanged.
+# of those points cannot bring the cycle basis back unchanged. The
+# closed forms are continued around the loop (no ODE), so the matrix is
+# integral to rounding.
 t3_star = np.sqrt(64.0 / 27.0)
 loop = circle_loop(4.0, t3_star, 0.6)
 m = monodromy(loop)

@@ -6,7 +6,8 @@ matrices of y^2 = 4x^3 - t2 x - t3 from Carlson's symmetric integrals,
 with the cycle basis continued from an anchor by integer rounding,
 ``gaussmanin``
 moves them around parameter space by integrating the Picard-Fuchs
-connection (monodromy included), ``modular`` inverts the construction
+connection and gives the monodromy of loops by the same continuation,
+``modular`` inverts the construction
 through Eisenstein series and j, ``hodge`` and ``domain`` handle the
 linear-algebra side (filtrations, Riemann relations, period domain
 dimensions), and ``poincare`` averages functionals over the integer

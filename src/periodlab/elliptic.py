@@ -126,22 +126,41 @@ def scale_action(lam: complex, t) -> WeierstrassPoint:
     return WeierstrassPoint(lam ** 4 * p.t2, lam ** 6 * p.t3)
 
 
+_CUBE_ROOTS_OF_ONE = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)),
+                      complex(-0.5, -0.5 * math.sqrt(3.0)))
+
+
 def curve_roots(t) -> np.ndarray:
-    """Roots of ``4x^3 - t2 x - t3``, Newton-polished, sorted by (Re, Im)."""
+    """Roots of ``4x^3 - t2 x - t3``, Newton-polished, sorted by (Re, Im).
+
+    Cardano on ``x^3 + P x + Q`` with ``P = -t2/4``, ``Q = -t3/4``: the
+    sign of the square root is the one that keeps ``-Q/2 +- sqrt(Q^2/4 +
+    P^3/27)`` away from cancellation, ``u`` is its principal cube root, and
+    the roots ``w u - P/(3 w u)`` over the cube roots of unity ``w`` get two
+    Newton steps each.  ``u`` is nonzero off the discriminant.
+    """
     p = as_weierstrass(t)
     _require_away_from_discriminant(p)
-    roots = np.roots([4.0, 0.0, -p.t2, -p.t3]).astype(np.complex128)
-    for _ in range(3):
-        val = 4.0 * roots ** 3 - p.t2 * roots - p.t3
-        der = 12.0 * roots ** 2 - p.t2
-        roots = roots - val / der
-    order = sorted(range(3), key=lambda k: (roots[k].real, roots[k].imag))
-    roots = roots[order]
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    if min(abs(roots[0] - roots[1]), abs(roots[1] - roots[2]),
-           abs(roots[0] - roots[2])) < 1e-9 * scale:
+    t2, t3 = p.t2, p.t3
+    P, Q = -0.25 * t2, -0.25 * t3
+    s = cmath.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+    w = -0.5 * Q + s
+    if abs(w) < abs(-0.5 * Q - s):
+        w = -0.5 * Q - s
+    u = w ** (1.0 / 3.0)
+    roots = []
+    for omega in _CUBE_ROOTS_OF_ONE:
+        v = omega * u
+        x = v - P / (3.0 * v)
+        for _ in range(2):
+            x -= (4.0 * x * x * x - t2 * x - t3) / (12.0 * x * x - t2)
+        roots.append(x)
+    roots.sort(key=lambda e: (e.real, e.imag))
+    e0, e1, e2 = roots
+    scale = 1.0 + max(abs(e0), abs(e1), abs(e2))
+    if min(abs(e0 - e1), abs(e1 - e2), abs(e0 - e2)) < 1e-9 * scale:
         raise NearDiscriminant("colliding branch points")
-    return roots
+    return np.array(roots, dtype=np.complex128)
 
 
 def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):

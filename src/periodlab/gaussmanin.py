@@ -20,6 +20,10 @@ the system, and it follows from the cohomology reductions of d(x^k / y).
 so a full matrix transports by ``dP = P A^T``.  Zero trace makes the
 determinant an exact constant of transport; closed loops therefore return
 an integer, determinant-one change of cycle basis (the monodromy).
+
+``transport`` integrates this system.  ``monodromy`` runs no ODE: it
+continues the Carlson matrices of ``elliptic`` around the loop by integer
+rounding, so the ODE stays an independent route to the same matrix.
 """
 
 from __future__ import annotations
@@ -71,8 +75,15 @@ def gm_system() -> LinearODESystem:
         rhs=lambda point, velocity: connection_matrix(point, velocity))
 
 
+def _require_plane_path(path: ParamPath) -> None:
+    if path.dimension != 2:
+        raise ValidationError(
+            f"path must lie in the (t2, t3) plane C^2, not C^{path.dimension}")
+
+
 def transport_entries(path: ParamPath, start_entries, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Raw matrix transport along ``path`` (no period-specific validation)."""
+    _require_plane_path(path)
     Y0 = np.asarray(start_entries, dtype=np.complex128)
     return integrate_linear_ode(gm_system(), path, Y0, tol=tol)
 
@@ -95,9 +106,11 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
     """Closed polygonal loop in the t3 plane at fixed t2.
 
     ``turns`` may be negative for the opposite orientation; the circle of
-    the given center and radius is approximated by a ``sides``-gon per turn,
-    starting and ending at ``center + radius``.
+    the given center and radius is approximated by a ``sides``-gon per turn
+    (an integer of at least 3), starting and ending at ``center + radius``.
     """
+    if not isinstance(sides, (int, np.integer)) or sides < 3:
+        raise ValidationError("sides must be an integer of at least 3")
     turns = int(turns)
     if turns == 0:
         raise ValidationError("turns must be a nonzero integer")
@@ -146,19 +159,36 @@ def monodromy(loop: ParamPath, basepoint_periods=None,
               tol: float = DEFAULT_TOL) -> MonodromyMatrix:
     """Monodromy of the cycle basis around a closed parameter loop.
 
-    The basepoint period matrix defaults to ``period_matrix`` at the loop
-    start.  Returns the integer matrix ``M`` with ``P_end = M P_start``.
+    The basepoint period matrix ``P0`` defaults to ``period_matrix`` at the
+    loop start.  Returns the integer matrix ``M`` with ``P_end = M P0``.
+
+    No ODE runs: the Carlson matrix ``Q0`` at the start is continued around
+    the loop by integer rounding (``elliptic._continue_basis``, the route of
+    ``period_matrix``), which ends at ``M_Q Q0`` with ``M_Q`` exact.  In the
+    rows of ``P0`` the same monodromy is ``C M_Q C^-1`` with
+    ``C = P0 Q0^-1``; a ``P0`` that is no period matrix gives a non-integral
+    result and ``NonIntegralMonodromy``.  ``tol`` reaches only the default
+    ``period_matrix`` call at the basepoint.
     """
+    _require_plane_path(loop)
     if not loop.is_closed():
         raise ValidationError("monodromy requires a closed loop")
+    start = tuple(loop.start)
     if basepoint_periods is None:
-        basepoint_periods = elliptic.period_matrix(tuple(loop.start), tol)
+        basepoint_periods = elliptic.period_matrix(start, tol)
     if isinstance(basepoint_periods, elliptic.PeriodMatrix2):
         P0 = basepoint_periods.entries
     else:
         P0 = np.asarray(basepoint_periods, dtype=np.complex128)
-    P1 = transport_entries(loop, P0, tol)
-    M = P1 @ np.linalg.inv(P0)
+    if P0.shape != (2, 2) or not np.all(np.isfinite(P0)) or np.linalg.det(P0) == 0:
+        raise ValidationError("basepoint periods must be a finite invertible 2x2 matrix")
+    Q0 = np.array(elliptic._carlson_matrix(start))
+    T_end = np.array(elliptic._continue_basis(loop.waypoints.tolist(), Q0.tolist()))
+    Q0_inv = np.linalg.inv(Q0)
+    # T_end is M_Q times the very Q0 (the loop ends where it starts)
+    M_Q = np.round((T_end @ Q0_inv).real)
+    C = P0 @ Q0_inv
+    M = C @ M_Q @ np.linalg.inv(C)
     try:
         M_int, deviation = nearest_integer_matrix(M, INTEGRALITY_TOL)
     except NonConvergent as exc:

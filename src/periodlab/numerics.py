@@ -5,21 +5,15 @@ plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
 in parallel.
 
-The two workhorses are
-
-``integrate_linear_ode``
-    transports a square complex matrix ``Y`` along a piecewise-linear path in
-    parameter space under ``dY = Y A(t)^T dt``, with an embedded
-    Runge-Kutta 4(5) pair and proportional step control;
-
-``quad_sqrt_singular``
-    integrates a function with at worst inverse square-root endpoint
-    behaviour along a straight segment, by a substitution that removes the
-    half-power singularities followed by Gauss-Legendre refinement.
-
-The private kernels ``_carlson_rf`` and ``_carlson_rd`` evaluate Carlson's
+``integrate_linear_ode`` transports a square complex matrix ``Y`` along a
+piecewise-linear path in parameter space under ``dY = Y A(t)^T dt``, with
+an embedded Runge-Kutta 4(5) pair and proportional step control.  The
+private kernels ``_carlson_rf`` and ``_carlson_rd`` evaluate Carlson's
 symmetric elliptic integrals by duplication in plain complex arithmetic;
-they give ``elliptic`` its cut-cycle closed forms.
+they give ``elliptic`` its cut-cycle closed forms.  ``quad_sqrt_singular``
+(Gauss-Legendre after a substitution that removes half-power endpoint
+singularities) is the tests' independent check of those closed forms; the
+library does not call it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Independent reference implementations and frozen constants.
 
-Everything here deliberately avoids the package's own numerical routes:
+Everything here deliberately avoids the route it checks:
 period lattices come from Carlson symmetric integrals (mpmath, 25
 digits), single cut cycles from Gauss-Legendre quadrature of the
-integrand (the package's Carlson closed forms are what they check), j
-from mpmath's kleinj, Eisenstein values from naive truncated double
-sums, Hurwitz zeta tails from direct sums, and the case classifier
-from a direct transcription of its defining conditions. Frozen
-constants record oracle outputs so the tests stay fast and drift
-becomes visible.
+integrand (the package's Carlson closed forms are what they check),
+cubic roots from numpy's companion-matrix eigenvalues, monodromy from
+the package's ODE transport (``transport_entries``, which the Carlson
+continuation of ``monodromy`` does not use), j from mpmath's kleinj,
+Eisenstein values from naive truncated double sums, Hurwitz zeta tails
+from direct sums, and the case classifier from a direct transcription of
+its defining conditions. Frozen constants record oracle outputs so the
+tests stay fast and drift becomes visible.
 """
 
 import cmath
@@ -17,7 +19,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from periodlab.numerics import quad_sqrt_singular
+from periodlab.gaussmanin import transport_entries
+from periodlab.numerics import nearest_integer_matrix, quad_sqrt_singular
 
 mp.mp.dps = 25
 
@@ -35,6 +38,21 @@ def oracle_lattice(t2, t3):
     wa = 2 * mp.elliprf(0, e1 - e3, e1 - e2)
     wb = 2 * mp.elliprf(0, e3 - e1, e3 - e2)
     return complex(wa), complex(wb)
+
+
+def oracle_curve_roots(t2, t3):
+    """Roots of 4x^3 - t2 x - t3 as eigenvalues of the companion matrix.
+
+    Three vectorised Newton steps polish them; they are sorted by
+    (Re, Im) like ``curve_roots``.
+    """
+    roots = np.roots([4.0, 0.0, -complex(t2), -complex(t3)]).astype(np.complex128)
+    for _ in range(3):
+        val = 4.0 * roots ** 3 - t2 * roots - t3
+        der = 12.0 * roots ** 2 - t2
+        roots = roots - val / der
+    order = sorted(range(3), key=lambda k: (roots[k].real, roots[k].imag))
+    return roots[order]
 
 
 def oracle_segment_cycle(e_a, e_b, e_c, tol=1e-10):
@@ -68,6 +86,15 @@ def oracle_segment_cycle(e_a, e_b, e_c, tol=1e-10):
         i1 += quad_sqrt_singular(lambda x: x * inv_y(x), lo, hi,
                                  tol * scale * max(abs(e_a), abs(e_b)))
     return 2.0 * i0, 2.0 * i1
+
+
+def oracle_monodromy_ode(loop, P0):
+    """Integer matrix M with P_end = M P0, by ODE transport of P0 around loop.
+
+    Returns ``(M, deviation)`` from ``nearest_integer_matrix`` at 1e-4.
+    """
+    P0 = np.asarray(P0, dtype=np.complex128)
+    return nearest_integer_matrix(transport_entries(loop, P0) @ np.linalg.inv(P0), 1e-4)
 
 
 def lattice_coordinates(z, w1, w2):

@@ -201,6 +201,96 @@ class TestDefaultPath:
         assert path.clearance > 1e-3
 
 
+def _log_uniform(rng, real):
+    modulus = 10.0 ** rng.uniform(-2, 3)
+    if real:
+        return complex(modulus * rng.choice([-1.0, 1.0]))
+    return cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
+
+
+def _tied_real_parts_by_im(roots):
+    """(Re, Im) order in which real parts equal to rounding count as equal.
+
+    A real cubic's conjugate pair (and at t3 = 0, t2 < 0, all three roots)
+    has equal real parts, so the (Re, Im) sort orders it by rounding noise;
+    both routes then differ only in that noise.
+    """
+    scale = max(abs(e) for e in roots)
+    out, group = [], [roots[0]]
+    for e in roots[1:]:
+        if abs(e.real - group[-1].real) <= 1e-13 * scale:
+            group.append(e)
+        else:
+            out += sorted(group, key=lambda z: z.imag)
+            group = [e]
+    return np.array(out + sorted(group, key=lambda z: z.imag))
+
+
+class TestCurveRoots:
+    @pytest.mark.parametrize("seed,real,zero", [
+        (0, False, None), (1, True, None), (2, False, "t2"), (3, False, "t3"),
+        (4, True, "t2"), (5, True, "t3")],
+        ids=["complex", "real", "t2_zero", "t3_zero", "real_t2_zero", "real_t3_zero"])
+    def test_matches_companion_oracle_in_order(self, seed, real, zero):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 300:
+            t2, t3 = _log_uniform(rng, real), _log_uniform(rng, real)
+            if zero == "t2":
+                t2 = 0j
+            elif zero == "t3":
+                t3 = 0j
+            if abs(discriminant((t2, t3))) < 1e-6 * (1 + abs(t2) ** 3 + abs(t3) ** 2):
+                continue
+            got, want = curve_roots((t2, t3)), oracles.oracle_curve_roots(t2, t3)
+            if real:
+                got, want = _tied_real_parts_by_im(got), _tied_real_parts_by_im(want)
+            # each root relative to its own modulus; at t3 = 0 one root is 0
+            size = np.abs(want) if t3 != 0 else np.max(np.abs(want))
+            assert np.all(np.abs(got - want) <= 1e-14 * size), (t2, t3, got, want)
+            checked += 1
+
+    def test_near_discriminant_against_mpmath(self):
+        # a near-double root is known only to about eps / sqrt(relative
+        # |Delta|); rounding decides which route is ahead at any one point
+        rng = np.random.default_rng(11)
+        worst_got = worst_oracle = 0.0
+        for _ in range(100):
+            a = cmath.rect(10.0 ** rng.uniform(-1, 1.5), rng.uniform(-math.pi, math.pi))
+            on = np.array([12.0 * a * a, -8.0 * a ** 3])  # double root at x = a
+            direction = np.array([1.0, complex(rng.normal(), rng.normal())])
+            target = 10.0 ** rng.uniform(-7.5, -3)
+            eps = 1e-6 * np.max(np.abs(on))
+            for _ in range(3):
+                t = tuple(on + eps * direction)
+                rel = abs(discriminant(t)) / (1 + abs(t[0]) ** 3 + abs(t[1]) ** 2)
+                eps *= target / rel
+            t = tuple(on + eps * direction)
+            rel = abs(discriminant(t)) / (1 + abs(t[0]) ** 3 + abs(t[1]) ** 2)
+            with oracles.mp.workdps(40):
+                exact = [complex(e) for e in oracles.mp.polyroots(
+                    [4, 0, -oracles.mp.mpc(t[0]), -oracles.mp.mpc(t[1])],
+                    maxsteps=200, extraprec=200)]
+            scale = max(abs(e) for e in exact)
+            limit = np.finfo(float).eps / math.sqrt(rel)
+
+            def error(roots):
+                return max(min(abs(r - e) for e in exact) for r in roots) / scale / limit
+
+            got = error(curve_roots(t))
+            assert got <= 1.0, (t, rel)
+            worst_got = max(worst_got, got)
+            worst_oracle = max(worst_oracle, error(oracles.oracle_curve_roots(*t)))
+        assert worst_got <= 2.0 * worst_oracle
+
+    @pytest.mark.parametrize("a", [0.5, 1.3 + 0.4j, -2.0 + 1.0j, 10.0j])
+    def test_colliding_pair_refused(self, a):
+        on = (12.0 * a * a, -8.0 * a ** 3)  # double root at x = a
+        for t in (on, (on[0] * (1.0 + 1e-12), on[1])):
+            with pytest.raises(NearDiscriminant):
+                curve_roots(t)
+
+
 class TestCarlsonCycles:
     def test_matches_quadrature_oracle(self):
         # the closed forms take the branch the quadrature integrand takes,

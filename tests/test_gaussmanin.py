@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from periodlab import gaussmanin, numerics
 from periodlab.elliptic import SIGMA, discriminant, period_matrix
-from periodlab.errors import ValidationError
+from periodlab.errors import NonIntegralMonodromy, ValidationError
 from periodlab.gaussmanin import (
     MonodromyMatrix,
     circle_loop,
@@ -10,6 +13,7 @@ from periodlab.gaussmanin import (
     gm_system,
     monodromy,
     transport,
+    transport_entries,
 )
 from periodlab.numerics import ParamPath
 
@@ -168,3 +172,98 @@ class TestMonodromy:
     def test_matrix_validation(self):
         with pytest.raises(Exception):
             MonodromyMatrix(np.array([[2, 0], [0, 1]]), 0.0)
+
+
+def seeded_circle(rng, enclosed, real_t2):
+    """A t3-plane circle at fixed t2 around 0, 1 or 2 discriminant roots.
+
+    Every root keeps a distance of at least 15% of their separation from
+    the circle.
+    """
+    while True:
+        t2 = 4.0 * (1.0 + 0.25 * complex(rng.uniform(-1, 1),
+                                         0.0 if real_t2 else rng.uniform(-1, 1)))
+        r = complex(np.sqrt(t2 ** 3 / 27))
+        roots, d = (r, -r), abs(2 * r)
+        offset = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if enclosed == 1:
+            center, radius = roots[rng.integers(2)] + 0.15 * d * offset, d * rng.uniform(0.3, 0.6)
+        elif enclosed == 2:
+            center, radius = 0.1 * d * offset, d * rng.uniform(0.75, 1.0)
+        else:
+            center = 1j * d * rng.uniform(0.6, 1.0) * rng.choice([-1, 1]) + 0.2 * d * offset
+            radius = d * rng.uniform(0.2, 0.4)
+        dist = [abs(center - x) for x in roots]
+        if sum(x < radius for x in dist) == enclosed and \
+                min(abs(x - radius) for x in dist) >= 0.15 * d:
+            return t2, center, radius
+
+
+class TestMonodromyRoutes:
+    @pytest.mark.parametrize("enclosed", [0, 1, 2])
+    @pytest.mark.parametrize("turns", [1, -1, 2, -2])
+    def test_matches_ode_oracle(self, enclosed, turns):
+        # real t2 for positive turns, complex for negative ones, so every
+        # number of enclosed points and every |turns| sees both
+        rng = np.random.default_rng(100 + 10 * enclosed + turns)
+        t2, center, radius = seeded_circle(rng, enclosed, real_t2=turns > 0)
+        loop = circle_loop(t2, center, radius, turns)
+        P0 = period_matrix(tuple(loop.start))
+        want, _ = oracles.oracle_monodromy_ode(loop, P0.entries)
+        got = monodromy(loop)
+        assert np.array_equal(got.entries, want)
+        assert got.deviation < 1e-12
+        if enclosed == 0:
+            assert np.array_equal(got.entries, np.eye(2))
+
+    def test_no_ode(self, monkeypatch, unipotent_loop):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("monodromy must not call this")
+
+        monkeypatch.setattr(gaussmanin, "integrate_linear_ode", forbidden)
+        monkeypatch.setattr(numerics, "integrate_linear_ode", forbidden)
+        monkeypatch.setattr(gaussmanin, "transport_entries", forbidden)
+        assert np.array_equal(monodromy(unipotent_loop).entries, oracles.M_LOOP)
+
+    def test_basepoints(self, unipotent_loop):
+        P0 = period_matrix(tuple(unipotent_loop.start)).entries
+        with pytest.raises(NonIntegralMonodromy):
+            monodromy(unipotent_loop, np.eye(2))
+        assert np.array_equal(monodromy(unipotent_loop, 2.0 * P0).entries, oracles.M_LOOP)
+        # another cycle basis G P0: the monodromy in its rows, as the ODE sees it
+        G = np.array([[2, 1], [1, 1]])
+        got = monodromy(unipotent_loop, G @ P0)
+        want, _ = oracles.oracle_monodromy_ode(unipotent_loop, G @ P0)
+        assert np.array_equal(got.entries, want)
+        assert np.array_equal(got.entries, G @ oracles.M_LOOP @ np.linalg.inv(G).round())
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.full((2, 2), np.nan), np.ones((2, 2))],
+                             ids=["shape", "nan", "singular"])
+    def test_bad_basepoint_rejected(self, unipotent_loop, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                monodromy(unipotent_loop, bad)
+
+
+class TestContracts:
+    @pytest.mark.parametrize("sides", [0, -1, 2, 3.5])
+    def test_circle_loop_sides(self, sides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                circle_loop(4.0, 4.0j, 0.5, sides=sides)
+
+    def test_circle_loop_fewest_sides(self):
+        assert circle_loop(4.0, 4.0j, 0.5, sides=3).waypoints.shape == (4, 2)
+
+    @pytest.mark.parametrize("waypoints", [
+        [1.0, 2.0, 1.0],
+        [(4.0, 1.0, 0.0), (4.0, 2.0, 0.0), (4.0, 1.0, 0.0)]], ids=["C1", "C3"])
+    def test_path_outside_the_plane(self, waypoints):
+        path = ParamPath(waypoints)
+        for call in (lambda: monodromy(path),
+                     lambda: transport_entries(path, np.eye(2)),
+                     lambda: transport(path, np.eye(2))):
+            with pytest.raises(ValidationError):
+                call()
