@@ -3,9 +3,11 @@ Eisenstein series two ways, and the j-function
 ==============================================
 
 The weight-k lattice sum E_k can be computed by brute summation over
-lattice shells (with a completed tail) or through its q-expansion with
-exact integer coefficients. The two routes share no code, so their
-agreement is a real check. j is then a quotient of such sums.
+lattice shells (with a completed tail) or through its Lambert q-series
+summed in floats. Both first move tau into the fundamental domain by one
+SL2(Z) reduction and share no other code, so their agreement is a real
+check. j comes from the same series over the product form of the
+discriminant; only its exact integer q-expansion uses exact arithmetic.
 """
 
 import numpy as np

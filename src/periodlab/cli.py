@@ -113,22 +113,29 @@ def cmd_tau(args):
     }
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
+
+
 def _load_path_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "loop" in data:
-        loop = data["loop"]
-        return gaussmanin.circle_loop(
-            _json_to_complex(loop["t2"]),
-            _json_to_complex(loop["center"]),
-            float(loop["radius"]),
-            turns=int(loop.get("turns", 1)),
-        )
-    if not isinstance(data, list):
+    data = _read_json(path)
+    loop = data.get("loop") if isinstance(data, dict) else None
+    if loop is None and not isinstance(data, list):
         raise ValidationError("path file must be a waypoint array or a loop object")
-    waypoints = [
-        [_json_to_complex(w[0]), _json_to_complex(w[1])] for w in data
-    ]
+    try:
+        if loop is not None:
+            t2, center = _json_to_complex(loop["t2"]), _json_to_complex(loop["center"])
+            radius, turns = float(loop["radius"]), loop.get("turns", 1)
+        else:
+            waypoints = [[_json_to_complex(t2), _json_to_complex(t3)] for t2, t3 in data]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed path file: {type(exc).__name__}: {exc}") from None
+    if loop is not None:
+        return gaussmanin.circle_loop(t2, center, radius, turns=turns)
     return ParamPath(waypoints, discriminant=elliptic.discriminant)
 
 
@@ -194,11 +201,10 @@ def cmd_eisenstein(args):
 
 
 def cmd_j(args):
-    tol = _resolve_tol(args)
-    value = modular.j_normalized(args.tau, tol)
+    value = modular.j_normalized(args.tau)
     return {
         "command": "j",
-        "inputs": {"tau": _c(args.tau), "tol": tol},
+        "inputs": {"tau": _c(args.tau)},
         "value_normalized": _c(value),
         "value_1728": _c(1728.0 * value),
     }
@@ -215,9 +221,8 @@ def cmd_j_qexp(args):
 
 
 def _filtration_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "tau" in data:
+    data = _read_json(path)
+    if isinstance(data, dict) and "tau" in data:
         _, filt = hodge.elliptic_hs(_json_to_complex(data["tau"]))
         return filt
     try:

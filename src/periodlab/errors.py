@@ -41,7 +41,7 @@ class NonIntegralMonodromy(NumericalError):
 
 
 class NearCusp(NumericalError):
-    """Denominator of a modular expression is numerically zero."""
+    """A modular value near a cusp lies outside the float range."""
 
 
 class DegenerateFiltration(NumericalError):

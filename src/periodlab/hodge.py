@@ -396,7 +396,7 @@ class RealHodgeData:
         return all(v <= 1e-8 for v in self.clause_violations.values())
 
 
-def real_structure(dec, tol=1e-10):
+def real_structure(dec):
     """Split the real span into the pieces H^i and verify Prop. 1.
 
     The report maps clause names to worst violations; positivity clauses

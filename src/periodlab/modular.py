@@ -1,13 +1,15 @@
 """Eisenstein series, Weierstrass invariants, and the j-function.
 
-Two independent evaluation routes are kept deliberately separate so they
-can cross-validate each other: `eisenstein_lattice` sums over lattice
-points directly, while `eisenstein_q` evaluates the classical q-expansion.
-Neither calls the other.
+Every route first moves tau into the fundamental domain with `_reduce`.
+Past it two routes stay separate so they can cross-validate each other:
+`eisenstein_lattice` sums over lattice points directly, while
+`eisenstein_q` sums the Lambert q-series in floats. Neither calls the other.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import (NearCusp, NonConvergent, NumericalError, RealTau, UnsupportedType,
                      ValidationError)
-from .qseries import QSeries, bernoulli, eisenstein_normalized
+from .qseries import bernoulli, eisenstein_normalized
 
 __all__ = [
     "G6_SIGN",
@@ -120,22 +122,24 @@ def _tail_estimate(k, shells, n_cut):
 def eisenstein_lattice(k, lat, tol=1e-10):
     """E_k(lattice) = sum over nonzero lattice points a of a^(-k).
 
-    Shells of max-norm radius S are summed outright and the remainder
-    beyond the current radius is completed from the shells' asymptotic
-    expansion; the result converges when two successive completions agree
-    to tol/2. Raising the radius cap is the only recourse past that. A
-    sum that leaves the float range raises NumericalError.
+    Shells of max-norm radius S in the reduced basis are summed outright
+    and the remainder beyond the current radius is completed from the
+    shells' asymptotic expansion; the result converges when two successive
+    completions agree to tol/2. Raising the radius cap is the only recourse
+    past that. A sum that leaves the float range raises NumericalError.
     """
     if k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
     if not isinstance(lat, Lattice):
         lat = Lattice(*lat)
-    w1, w2 = lat.omega1, lat.omega2
+    (a, b, c, d), _, _ = _reduce(lat.tau)
     shells = {}
     partial = 0j
     top = 0
     previous = None
     try:
+        w1 = _combine(a, lat.omega1, b, lat.omega2)
+        w2 = _combine(c, lat.omega1, d, lat.omega2)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for n_cut in _CHECKPOINTS:
                 for s in range(top + 1, n_cut + 1):
@@ -148,7 +152,7 @@ def eisenstein_lattice(k, lat, tol=1e-10):
                 if previous is not None and abs(value - previous) <= 0.5 * tol:
                     return complex(value)
                 previous = value
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         raise NumericalError(f"E_{k} of this lattice is outside the float range") from None
     raise NonConvergent(
         f"lattice sum for E_{k} did not stabilize to {tol} within radius {top}"
@@ -160,46 +164,77 @@ def _riemann_zeta(k):
     return 24.0 ** -k * _zeta_tail(k, 24) + head
 
 
-def _q_terms_needed(q_abs, k):
-    """Terms of the weight-k q-expansion to keep at nome modulus q_abs.
+def _combine(m, x, n, y):
+    """m x + n y for integers m, n and complex x, y, each part rounded once."""
+    def part(u, v):  # int / int rounds once
+        (p, q), (r, s) = u.as_integer_ratio(), v.as_integer_ratio()
+        return (m * p * s + n * r * q) / (q * s)
+    return complex(part(x.real, y.real), part(x.imag, y.imag))
 
-    The n-th term is about (2k/|B_k|) n^(k-1) |q|^n, which peaks near
-    n = (k-1)/ln(1/|q|); the count runs past the peak until that bound
-    drops below 1e-17, using 2k/|B_k| = k (2 pi)^k / (k! zeta(k)) with
-    zeta(k) >= 1, so no Bernoulli number has to fit in a float. Past 1024
-    terms, or with coefficients beyond the float range, it raises NearCusp.
+
+def _reduce(tau):
+    """((a, b, c, d), gamma tau, c tau + d) for the gamma in SL2(Z) that
+    translates and inverts tau into the fundamental domain (DLMF 23.18),
+    where Im(gamma tau) >= sqrt(3)/2 and |c tau + d| <= 1.
+
+    Each step reads gamma tau formed afresh from tau, as a float iteration
+    drifts off the orbit near the real axis. NearCusp once |c| > 2^52 or
+    gamma tau leaves the float range.
     """
-    if q_abs >= 0.9:
-        raise NearCusp(f"nome modulus {q_abs:.3f} too close to 1 for the q-expansion")
-    log_q = math.log(q_abs)
-    log_mult = math.log(k) + k * math.log(2 * math.pi) - math.lgamma(k + 1)
-    n = max(int(np.ceil(-37.0 / np.log10(q_abs))) + 2, 8, math.ceil((1 - k) / log_q))
-    while n <= 1024 and log_mult + (k - 1) * math.log(n) + n * log_q >= math.log(1e-17):
-        n += 1
-    if n > 1024 or log_mult + (k - 1) * math.log(n) > 700:
-        raise NearCusp(
-            f"weight-{k} q-expansion at nome modulus {q_abs:.3g} is out of float reach"
-        )
-    return n
+    tau = complex(tau)
+    if not (tau.imag > 0 and cmath.isfinite(tau)):
+        raise RealTau(f"tau = {tau} not in the upper half-plane")
+    a, b, c, d = 1, 0, 0, 1
+    try:
+        while abs(c) <= 2 ** 52:
+            w = _combine(c, tau, d, 1)
+            moved = _combine(a, tau, b, 1) / w
+            n = round(moved.real)
+            if n:
+                a, b = a - n * c, b - n * d
+            elif abs(moved) >= 1.0 - 1e-15:  # so that i and rho stay put
+                return (a, b, c, d), moved, w
+            else:
+                a, b, c, d = -c, -d, a, b
+    except OverflowError:
+        pass
+    raise NearCusp(f"reducing tau = {tau} leaves the float range")
 
 
-def eisenstein_q(k, tau, n_terms=None):
-    """E_k(Z tau + Z) through the normalized q-expansion, times 2 zeta(k).
+def eisenstein_q(k, tau):
+    """E_k(Z tau + Z) = (c tau + d)^(-k) E_k(gamma tau), with E_k(gamma tau)
+    from the Lambert series 2 zeta(k) + 2 (2 pi i)^k / (k-1)! times
+    sum n^(k-1) q^n / (1 - q^n) (DLMF 27.7).
 
-    The integer expansion coefficients (240, -504, ...) are implementation
-    constants; their validation is the cross-method agreement with
-    eisenstein_lattice, not an internal check.
+    It shares only the reduction with eisenstein_lattice, so their agreement
+    checks both. Term moduli are formed in log space, and the sum stops
+    past its peak at the first term below 1e-17 = e^-39.1. Its part from
+    the lattice row tau + m, sum_r r^(k-1) q^r, has terms near
+    (Im tau)^(-k) that cancel, so from weight 32 on that row is summed as
+    sum_m (tau + m)^(-k) and the series keeps q^(2n) / (1 - q^n). A value
+    outside the float range raises NearCusp.
     """
     if k % 2 or k < 4:
         raise UnsupportedType(f"q-expansion Eisenstein needs even weight >= 4, got {k}")
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise RealTau(f"tau = {tau} not in the upper half-plane")
-    q = np.exp(2j * np.pi * tau)
-    if n_terms is None:
-        n_terms = _q_terms_needed(abs(q), k)
-    series = eisenstein_normalized(k, n_terms)
-    return 2.0 * _riemann_zeta(k) * series.evaluate(q)
+    _, reduced, w = _reduce(tau)
+    # |w| <= 1 and |E_k(gamma tau)| < 10, so only a large power can overflow
+    if -k * math.log(abs(w)) > 700:
+        raise NearCusp(f"E_{k} at tau = {tau} is outside the float range")
+    z = 2j * math.pi * reduced
+    log_c = math.log(2.0) + k * math.log(2.0 * math.pi) - math.lgamma(k)
+    rows = 2 if k >= 32 else 1
+    total = 0j
+    for n in itertools.count(1):
+        log_term = log_c + (k - 1) * math.log(n) + rows * n * z.real
+        total += cmath.exp(complex(log_term, rows * n * z.imag)) / (1.0 - cmath.exp(n * z))
+        if rows * n * -z.real > k - 1 and log_term < -39.1:
+            break
+    value = 2.0 * _riemann_zeta(k) + (-1) ** (k // 2) * total
+    if rows == 2:
+        reach = 1 + int(math.exp(39.1 / k))  # |tau + m|^(-k) < 1e-17 past it
+        value += 2.0 * sum(cmath.exp(-k * cmath.log(reduced + m))
+                           for m in range(-reach, reach + 1))
+    return value * w ** -k
 
 
 def weierstrass_g(lat, tol=1e-10):
@@ -209,20 +244,23 @@ def weierstrass_g(lat, tol=1e-10):
     return 60.0 * e4, G6_SIGN * 140.0 * e6
 
 
-def j_normalized(tau, tol=1e-10):
+def j_normalized(tau):
     """The quotient g4^3 / (g4^3 - 27 g6^2), normalized so j(i) = 1.
 
-    Vanishes at the third root of unity; the familiar
-    integer-coefficient expansion belongs to 1728 times this.
+    Vanishes at the third root of unity; the familiar integer-coefficient
+    expansion belongs to 1728 times this. It is taken at the reduced tau as
+    E^3 / (1728 q prod (1 - q^n)^24) with E = E_4 / (2 zeta(4)), a product
+    that does not cancel. NearCusp once q nears underflow (Im above 112).
     """
-    g4 = 60.0 * eisenstein_q(4, tau)
-    g6 = 140.0 * eisenstein_q(6, tau)  # sign-insensitive: only g6^2 enters
-    num = g4 ** 3
-    den = num - 27.0 * g6 ** 2
-    scale = max(abs(num), abs(27.0 * g6 ** 2), 1e-300)
-    if abs(den) <= tol * scale:
-        raise NearCusp("j denominator vanishes to working tolerance (cusp or singular fiber)")
-    return num / den
+    _, reduced, _ = _reduce(tau)
+    if reduced.imag > 112:
+        raise NearCusp(f"j at tau = {tau} is outside the float range")
+    q = cmath.exp(2j * math.pi * reduced)
+    delta, q_n = q, q
+    while abs(q_n) >= 1e-17:
+        delta *= (1.0 - q_n) ** 24
+        q_n *= q
+    return (eisenstein_q(4, reduced) / (2.0 * _riemann_zeta(4))) ** 3 / (1728.0 * delta)
 
 
 def j_q_expansion(n_terms):

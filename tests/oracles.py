@@ -7,9 +7,10 @@ integrand (the package's Carlson closed forms are what they check),
 cubic roots from numpy's companion-matrix eigenvalues, monodromy from
 the package's ODE transport (``transport_entries``, which the Carlson
 continuation of ``monodromy`` does not use), j from mpmath's kleinj,
-Eisenstein values from naive truncated double sums, Hurwitz zeta tails
-from direct sums, and the case classifier from a direct transcription of
-its defining conditions. Frozen constants record oracle outputs so the
+Eisenstein values from naive truncated double sums or from an mpmath
+Lambert series at the unreduced tau, Hurwitz zeta tails from direct
+sums, and the case classifier from a direct transcription of its
+defining conditions. Frozen constants record oracle outputs so the
 tests stay fast and drift becomes visible.
 """
 
@@ -133,6 +134,30 @@ def oracle_eisenstein(k, omega1, omega2, radius=400):
     vals = pts ** (-float(k))
     vals[radius, radius] = 0.0
     return complex(vals.sum())
+
+
+def oracle_eisenstein_q(k, tau, dps=60):
+    """E_k(Z tau + Z) from the Lambert series at tau itself, in mpmath.
+
+    2 zeta(k) + 2 (2 pi i)^k / (k-1)! sum_n n^(k-1) q^n / (1 - q^n), with
+    no modular transformation, summed past its peak until the terms drop
+    below 10^-dps of the largest one.
+    """
+    with mp.workdps(dps):
+        tau = mp.mpc(tau.real, tau.imag)
+        q = mp.exp(2j * mp.pi * tau)
+        peak = (k - 1) / -mp.log(abs(q))
+        total, biggest, q_n, n = mp.mpc(0), mp.mpf(0), mp.mpc(1), 0
+        while True:
+            n += 1
+            q_n *= q
+            term = mp.mpf(n) ** (k - 1) * q_n / (1 - q_n)
+            total += term
+            biggest = max(biggest, abs(term))
+            if n > peak and abs(term) < mp.mpf(10) ** -dps * biggest:
+                break
+        value = 2 * mp.zeta(k) + 2 * (2j * mp.pi) ** k / mp.factorial(k - 1) * total
+        return complex(value)
 
 
 # --- Hurwitz zeta tails: direct sums ----------------------------------------

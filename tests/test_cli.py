@@ -204,6 +204,38 @@ class TestTransport:
         code, _, _ = run(capsys, "pf-transport", "--path-file", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        {"loop": {"t2": 4, "center": 1.5}},
+        {"loop": {"t2": 4, "center": 1.5, "radius": "wide"}},
+        {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": "nan"}},
+        {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": 1.5}},
+        [[4], [5]],
+        [4, 5],
+        [[4, 0, 1], [4, 1, 2]],
+    ], ids=["no-radius", "radius-text", "turns-text", "turns-fraction",
+            "one-coordinate", "bare-numbers", "three-coordinates"])
+    def test_malformed_path_file_exits_2(self, capsys, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "pf-transport", "--path-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("command,flag", [("pf-transport", "--path-file"),
+                                              ("hodge-check", "--point-file")])
+    @pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not-json"])
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, command, flag, content):
+        f = tmp_path / "input.json"
+        if content is not None:
+            f.write_text(content)
+        code, out, err = run(capsys, command, flag, str(f))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
 
 class TestHodgeCheck:
     def test_elliptic_point_passes(self, capsys, tmp_path):
@@ -244,6 +276,14 @@ class TestHodgeCheck:
         f.write_text(json.dumps({"m": 2}))
         code, _, _ = run(capsys, "hodge-check", "--point-file", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("content", [5, ["tau"]], ids=["number", "list"])
+    def test_point_file_not_an_object_exits_2(self, capsys, tmp_path, content):
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps(content))
+        code, _, err = run(capsys, "hodge-check", "--point-file", str(f))
+        assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
 
 
 class TestDomainCommands:

@@ -283,6 +283,32 @@ class TestCurveRoots:
             worst_oracle = max(worst_oracle, error(oracles.oracle_curve_roots(*t)))
         assert worst_got <= 2.0 * worst_oracle
 
+    def test_roots_stay_apart_at_the_gate(self):
+        # just above DELTA_FLOOR every root pair is still far apart, so the
+        # gate alone keeps Newton's derivative 12 x^2 - t2 away from zero
+        def rel(t):
+            return abs(discriminant(t)) / (1 + abs(t[0]) ** 3 + abs(t[1]) ** 2)
+
+        rng = np.random.default_rng(17)
+        worst, checked = math.inf, 0
+        while checked < 2000:
+            # |t| from about 1e-2 to 1e3
+            a = cmath.rect(10.0 ** rng.uniform(-1.5, 0.7), rng.uniform(-math.pi, math.pi))
+            on = np.array([12.0 * a * a, -8.0 * a ** 3])  # double root at x = a
+            direction = np.array([1.0, complex(rng.normal(), rng.normal())])
+            target = elliptic.DELTA_FLOOR * rng.uniform(1.0, 1.5)
+            eps = 1e-6 * np.max(np.abs(on))
+            for _ in range(3):
+                eps *= target / rel(tuple(on + eps * direction))
+            t = tuple(on + eps * direction)
+            if rel(t) < elliptic.DELTA_FLOOR:
+                continue
+            e = curve_roots(t)
+            gap = min(abs(e[0] - e[1]), abs(e[1] - e[2]), abs(e[0] - e[2]))
+            worst = min(worst, gap / (1 + np.max(np.abs(e))))
+            checked += 1
+        assert worst >= 1e-6
+
     @pytest.mark.parametrize("a", [0.5, 1.3 + 0.4j, -2.0 + 1.0j, 10.0j])
     def test_colliding_pair_refused(self, a):
         on = (12.0 * a * a, -8.0 * a ** 3)  # double root at x = a

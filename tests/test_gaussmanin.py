@@ -254,6 +254,13 @@ class TestContracts:
             with pytest.raises(ValidationError):
                 circle_loop(4.0, 4.0j, 0.5, sides=sides)
 
+    @pytest.mark.parametrize("turns", [1.5, 0.5, float("nan")])
+    def test_circle_loop_turns(self, turns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                circle_loop(4.0, 4.0j, 0.5, turns=turns)
+
     def test_circle_loop_fewest_sides(self):
         assert circle_loop(4.0, 4.0j, 0.5, sides=3).waypoints.shape == (4, 2)
 

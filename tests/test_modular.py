@@ -1,9 +1,12 @@
+import inspect
+import time
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from periodlab import modular, qseries
 from periodlab.errors import (
     NearCusp,
     NumericalError,
@@ -129,10 +132,6 @@ class TestCrossMethod:
         assert abs(eisenstein_lattice(6, Lattice(1j, 1.0))) < 1e-10
         assert abs(eisenstein_lattice(4, Lattice(rho, 1.0))) < 1e-10
 
-    def test_near_cusp_refused(self):
-        with pytest.raises(NearCusp):
-            eisenstein_q(4, 0.001j)
-
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.9j])
     @pytest.mark.parametrize("k", [60, 100])
     def test_high_weight_q_expansion(self, k, tau):
@@ -140,11 +139,112 @@ class TestCrossMethod:
         lattice = eisenstein_lattice(k, Lattice.from_tau(tau))
         assert eisenstein_q(k, tau) == pytest.approx(lattice, rel=1e-10)
 
-    # more than 1024 terms; coefficients past the float range
-    @pytest.mark.parametrize("k,tau", [(100, 0.03j), (400, 0.5j)])
-    def test_high_weight_out_of_reach_refused(self, k, tau):
+    # near the cusp and at high weight; the reference sums the series at tau
+    # itself, slow or cancelling as it is there, in 60 digits
+    @pytest.mark.parametrize("k,tau", [(200, 0.3313 + 0.7192j), (100, 0.03j), (400, 0.5j),
+                                       (60, 0.41 + 0.05j), (4, 0.1234 + 0.01j), (4, 0.001j)])
+    def test_matches_unreduced_lambert_series(self, k, tau):
+        ref = oracles.oracle_eisenstein_q(k, tau)
+        assert abs(eisenstein_q(k, tau) - ref) <= 1e-12 * abs(ref)
+
+    def test_lattice_vs_q_near_the_real_axis(self):
+        # |c| reaches about 1e15 here; a reduction whose matrix and reduced point
+        # drift apart shows as a disagreement of many orders of magnitude
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            tau = complex(rng.uniform(-1, 1), 10.0 ** -rng.uniform(8, 30))
+            q_route = eisenstein_q(12, tau)
+            lattice = eisenstein_lattice(12, Lattice.from_tau(tau), tol=1e-13 * abs(q_route))
+            assert abs(q_route - lattice) <= 1e-12 * abs(lattice), tau
+
+    @pytest.mark.parametrize("k", [60, 200, 400])
+    def test_high_weight_near_rho(self, k):
+        # the m = 1 row of the q-series cancels by about (Im tau)^-k here
+        tau = complex(-0.5, np.sqrt(3) / 2) + 0.01j
+        lattice = eisenstein_lattice(k, Lattice.from_tau(tau))
+        assert abs(eisenstein_q(k, tau) - lattice) <= 1e-12 * abs(lattice)
+
+
+class TestModularGroup:
+    @staticmethod
+    def _gamma(rng):
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(rng.integers(1, 5)):
+            n = int(rng.integers(-3, 4))
+            a, b, c, d = -c, -d, a + n * c, b + n * d  # S T^n times the product
+        return a, b, c, d
+
+    def test_transformation_laws(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0))
+            a, b, c, d = self._gamma(rng)
+            moved = (a * tau + b) / (c * tau + d)
+            assert j_normalized(moved) == pytest.approx(j_normalized(tau), rel=1e-12)
+            for k in (4, 6, 12):
+                value = eisenstein_q(k, tau)
+                assert eisenstein_q(k, tau + 1) == pytest.approx(value, rel=1e-12)
+                assert eisenstein_q(k, -1 / tau) == pytest.approx(tau ** k * value, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [10 + 1j, 1e6 + 1j])
+    def test_lattice_far_from_the_origin(self, tau):
+        # Z tau + Z is the square lattice: E_4 = Gamma(1/4)^8 / (960 pi^2)
+        with mp.workdps(40):
+            ref = float(mp.gamma(0.25) ** 8 / (960 * mp.pi ** 2))
+        value = eisenstein_lattice(4, Lattice.from_tau(tau))
+        assert abs(value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("tau", [5j, 20j])
+    def test_j_near_the_cusp(self, tau):
+        ref = oracles.oracle_j(tau)
+        assert abs(j_normalized(tau) - ref) <= 1e-12 * abs(ref)
+
+    def test_j_past_the_float_range(self):
+        assert np.isfinite(j_normalized(100j))
         with pytest.raises(NearCusp):
-            eisenstein_q(k, tau)
+            j_normalized(120j)
+
+    def test_contract_sweep(self):
+        # answers or NearCusp, in bounded time and without a warning
+        rng = np.random.default_rng(5)
+        taus = [1e-300j]
+        for eps in 10.0 ** -np.arange(1, 13):
+            p, q = int(rng.integers(-7, 8)), int(rng.integers(1, 12))
+            taus.append(complex(p / q, eps))
+        taus += [complex(rng.choice([-1, 1]) * 10.0 ** rng.uniform(0, 6),
+                         10.0 ** rng.uniform(-3, 1)) for _ in range(12)]
+        # tiny Im under a generic Re: |c| nears or passes 2^52
+        taus += [complex(rng.uniform(-1, 1), 10.0 ** -rng.uniform(13, 300)) for _ in range(6)]
+        calls = [(j_normalized, tau) for tau in taus]
+        calls += [(lambda tau, k=k: eisenstein_q(k, tau), tau)
+                  for k in (4, 6, 12, 60, 200, 400) for tau in taus]
+        answered = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, tau in calls:
+                start = time.perf_counter()
+                try:
+                    assert np.isfinite(f(tau))
+                    answered += 1
+                except NearCusp:
+                    pass
+                assert time.perf_counter() - start < 0.05, tau
+        assert answered > len(calls) // 2
+
+    def test_q_route_uses_no_exact_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact series called")
+
+        monkeypatch.setattr(modular, "eisenstein_normalized", refuse)
+        monkeypatch.setattr(modular, "bernoulli", refuse)
+        monkeypatch.setattr(qseries, "bernoulli", refuse)
+        assert eisenstein_q(200, 0.3 + 0.9j) == pytest.approx(
+            eisenstein_lattice(200, Lattice.from_tau(0.3 + 0.9j)), rel=1e-12)
+        assert j_normalized(1j) == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_tuning_parameters(self):
+        assert list(inspect.signature(eisenstein_q).parameters) == ["k", "tau"]
+        assert list(inspect.signature(j_normalized).parameters) == ["tau"]
 
 
 class TestWeierstrassInvariants:
