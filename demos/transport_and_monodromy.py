@@ -26,7 +26,8 @@ from periodlab import (
 a = (4.0, 0.0)
 b = (4.0, 1.0)
 path = ParamPath([a, b], discriminant=discriminant)
-print("path clearance (sampled estimate of min |Delta|, not a bound):", path.clearance)
+print("path clearance (lower bound on |Delta| from the cubic along the segment):",
+      path.clearance)
 
 pm_a = period_matrix(a)
 pm_b = transport(path, pm_a)

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import DEFAULT_TOL, ParamPath, _carlson_rd, _carlson_rf
+from .numerics import DEFAULT_TOL, ParamPath, _carlson_rd, _carlson_rf, _trimmed_roots
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -278,7 +278,8 @@ def default_path(t_end, t_start=None) -> ParamPath:
     parametrized by ``s in [0, 1]``; the discriminant along it is a cubic
     polynomial in ``s``, and each root close to the real unit interval is
     avoided by a polygonal semicircle in the complex ``s`` plane, on the
-    side away from the root.
+    side away from the root, except a last root past ``s = 1``.  The
+    path's clearance is the exact per-segment bound of ``ParamPath``.
     """
     p1 = as_weierstrass(t_end)
     p0 = as_weierstrass(t_start) if t_start is not None else \
@@ -295,11 +296,14 @@ def default_path(t_end, t_start=None) -> ParamPath:
         3.0 * a0[0] ** 2 * q[0] - 54.0 * a0[1] * q[1],
         a0[0] ** 3 - 27.0 * a0[1] ** 2,
     ], dtype=np.complex128)
-    nz = np.flatnonzero(np.abs(coeffs) > 1e-14 * np.abs(coeffs).max())
-    s_roots = np.roots(coeffs[nz[0]:]) if len(nz) else np.array([])
+    _, s_roots, _ = _trimmed_roots(coeffs)
 
     near = [s for s in s_roots if abs(s.imag) <= 0.15 and -0.1 <= s.real <= 1.1]
     hazards = sorted(s.real for s in near)
+    if near and near[-1].real > 1.0:
+        # its detour would come back to s = 1 along the real axis, through
+        # a real root; the straight end is homotopic to it (or its limit)
+        near.pop()
     svals: list[complex] = [0.0]
     cursor = 0.0
     for s0 in near:

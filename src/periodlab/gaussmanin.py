@@ -105,14 +105,14 @@ def transport(path: ParamPath, basepoint_periods, tol: float = DEFAULT_TOL) -> e
 def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPath:
     """Closed polygonal loop in the t3 plane at fixed t2.
 
-    ``turns`` is a nonzero integer, negative for the opposite orientation;
-    the circle of the given center and radius is approximated by a
-    ``sides``-gon per turn (an integer of at least 3), starting and ending
-    at ``center + radius``.
+    ``turns`` is a nonzero integer (not a bool), negative for the opposite
+    orientation; the circle of the given center and radius is approximated
+    by a ``sides``-gon per turn (an integer of at least 3), starting and
+    ending at ``center + radius``.
     """
-    if not isinstance(sides, (int, np.integer)) or sides < 3:
+    if isinstance(sides, bool) or not isinstance(sides, (int, np.integer)) or sides < 3:
         raise ValidationError("sides must be an integer of at least 3")
-    if not isinstance(turns, (int, np.integer)) or turns == 0:
+    if isinstance(turns, bool) or not isinstance(turns, (int, np.integer)) or turns == 0:
         raise ValidationError("turns must be a nonzero integer")
     if not 0 < radius < np.inf:
         raise ValidationError("radius must be positive and finite")

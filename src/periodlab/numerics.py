@@ -5,6 +5,11 @@ plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
 in parallel.
 
+``ParamPath`` certifies a path against a discriminant hook that is a
+polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
+is): the cubic through 4 samples per segment gives a lower bound on
+|discriminant| from its roots, exact up to the rounding of the samples.
+
 ``integrate_linear_ode`` transports a square complex matrix ``Y`` along a
 piecewise-linear path in parameter space under ``dY = Y A(t)^T dt``, with
 an embedded Runge-Kutta 4(5) pair and proportional step control.  The
@@ -38,8 +43,26 @@ DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# points per segment at which ParamPath samples |discriminant|
-_CERTIFICATE_SAMPLES = 33
+# Nodes at which ParamPath samples the discriminant hook on a segment, and
+# the inverse Vandermonde matrix that turns the samples into the
+# coefficients of the cubic through them, highest power first.
+_CUBIC_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+_CUBIC_FIT = np.linalg.inv(np.vander(_CUBIC_NODES))
+
+
+def _trimmed_roots(coeffs):
+    """Leading coefficient, roots and dropped size of ``coeffs`` (highest first).
+
+    Leading coefficients at most 1e-14 of the largest modulus are dropped as
+    rounding noise; the sum of their moduli bounds their value for |s| <= 1.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    size = np.abs(coeffs)
+    keep = np.flatnonzero(size > 1e-14 * size.max())
+    if not len(keep):
+        return 0.0, np.array([]), 0.0
+    first = keep[0]
+    return coeffs[first], np.roots(coeffs[first:]), float(size[:first].sum())
 
 
 def _as_waypoints(waypoints) -> np.ndarray:
@@ -62,41 +85,34 @@ class ParamPath:
         Sequence of points in C^s, shape (n, s); a 1-d sequence is read as a
         path in C^1.  Consecutive duplicates are allowed and skipped during
         integration.
-    clearance : float, optional
-        Claimed lower bound for |discriminant| along the path.  Must be
-        positive when given.
     discriminant : callable, optional
-        Map from a point of C^s to a complex number.  When supplied, the
-        linear interpolation of the waypoints is sampled and the observed
-        minimum of |discriminant| is checked against ``clearance`` (or stored
-        as the clearance when none was claimed).
+        Map from a point of C^s to a complex number that is a polynomial of
+        degree at most 3 along every straight segment.  When supplied, the
+        cubic through 4 samples per segment gives ``clearance``, the least
+        over the segments of |lead| * prod dist(root, [0, 1]) less any
+        dropped noise coefficients: a lower bound on |discriminant| along
+        the path up to the rounding of the samples.  A bound that is not
+        positive raises ``ClearanceViolation``.
     """
 
-    def __init__(self, waypoints, clearance=None, discriminant=None):
+    def __init__(self, waypoints, discriminant=None):
         self.waypoints = _as_waypoints(waypoints)
-        if clearance is not None and not clearance > 0.0:
-            raise ValidationError("clearance must be positive")
-        self.clearance = None if clearance is None else float(clearance)
+        self.clearance = None
         if discriminant is not None:
-            observed = self._min_abs_discriminant(discriminant)
-            if self.clearance is None:
-                if not observed > 0.0:
-                    raise ClearanceViolation(
-                        "path touches the discriminant locus")
-                # Halve so later, denser samplings stay above the certificate.
-                self.clearance = 0.5 * observed
-            elif observed < self.clearance:
+            self.clearance = self._certified_clearance(discriminant)
+            if not self.clearance > 0.0:
                 raise ClearanceViolation(
-                    f"observed |discriminant| {observed:.3e} below claimed "
-                    f"clearance {self.clearance:.3e}")
+                    f"path touches the discriminant locus: certified "
+                    f"|discriminant| {self.clearance:.3e}")
 
-    def _min_abs_discriminant(self, discriminant) -> float:
-        u = np.linspace(0.0, 1.0, _CERTIFICATE_SAMPLES)
+    def _certified_clearance(self, discriminant) -> float:
         worst = np.inf
         for start, velocity in self.segments():
-            pts = start[None, :] + u[:, None] * velocity[None, :]
-            vals = np.array([discriminant(p) for p in pts], dtype=np.complex128)
-            worst = min(worst, float(np.min(np.abs(vals))))
+            vals = np.array([discriminant(start + u * velocity) for u in _CUBIC_NODES],
+                            dtype=np.complex128)
+            lead, roots, dropped = _trimmed_roots(_CUBIC_FIT @ vals)
+            dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
+            worst = min(worst, float(abs(lead) * np.prod(dist)) - dropped)
         return worst
 
     @property
@@ -126,16 +142,17 @@ class ParamPath:
         return float(sum(np.linalg.norm(v) for _, v in self.segments()))
 
     def reversed(self) -> "ParamPath":
-        return ParamPath(self.waypoints[::-1].copy(), clearance=self.clearance)
+        back = ParamPath(self.waypoints[::-1].copy())
+        back.clearance = self.clearance
+        return back
 
     def concat(self, other: "ParamPath") -> "ParamPath":
         if not np.array_equal(self.waypoints[-1], other.waypoints[0]):
             raise ValidationError("paths do not share an endpoint")
-        joined = np.vstack([self.waypoints, other.waypoints[1:]])
-        clearance = None
+        joined = ParamPath(np.vstack([self.waypoints, other.waypoints[1:]]))
         if self.clearance is not None and other.clearance is not None:
-            clearance = min(self.clearance, other.clearance)
-        return ParamPath(joined, clearance=clearance)
+            joined.clearance = min(self.clearance, other.clearance)
+        return joined
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from periodlab import errors
+from periodlab import elliptic, gaussmanin
 from periodlab.cli import main, parse_complex
-from periodlab.errors import NumericalError, ValidationError
+from periodlab.errors import ValidationError
 
 import oracles
 
@@ -81,15 +81,28 @@ class TestPeriods:
         assert out == ""
         assert json.loads(err)["error"] == "NearDiscriminant"
 
+    def test_root_past_the_path_end(self, capsys):
+        # Delta along the segment to this point vanishes at s = 1.0004, just
+        # past its end; the path ends straight, and the matrix is the limit
+        # from either side of the real axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = run_json(capsys, "periods", "--t2", "4", "--t3", "1.539")
+        got = np.array([[complex(*v) for v in row] for row in doc["matrix"]])
+        for eps in (1e-9j, -1e-9j):
+            near = elliptic.period_matrix((4.0, 1.539 + eps)).entries
+            assert np.max(np.abs(got - near)) < 1e-5
+
     def test_path_through_a_root_exits_3(self, capsys):
-        # the default path to this regular point returns through a
+        # the default path to this regular point passes 5e-15 from a real
         # discriminant root, so the basis cannot be continued to it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "periods", "--t2", "4", "--t3", "1.539")
+            code, out, err = run(capsys, "periods", "--t2", "-1.0759533566522181",
+                                 "--t3", "-0.06976981268257454")
         assert code == 3
         assert out == ""
-        assert issubclass(getattr(errors, json.loads(err)["error"]), NumericalError)
+        assert json.loads(err)["error"] == "NearDiscriminant"
 
 
 class TestTolerancePlumbing:
@@ -198,6 +211,21 @@ class TestTransport:
         # returns changed by the monodromy, not to the quadrature frame
         assert doc["diagnostics"]["max_entry_deviation_vs_quadrature"] > 0.5
 
+    def test_segment_through_the_discriminant_exits_2(self, capsys, tmp_path, monkeypatch):
+        # Delta = 64 - 27 t3^2 vanishes at t3 = 1.5396 on this segment
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no transport on an uncertified path")
+
+        monkeypatch.setattr(gaussmanin, "transport", forbidden)
+        f = tmp_path / "path.json"
+        f.write_text(json.dumps([[[4, 0], [0, 0]], [[4, 0], [2, 0]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "pf-transport", "--path-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ClearanceViolation"
+
     def test_bad_file_shape_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"points": []}))
@@ -209,10 +237,11 @@ class TestTransport:
         {"loop": {"t2": 4, "center": 1.5, "radius": "wide"}},
         {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": "nan"}},
         {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": 1.5}},
+        {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": True}},
         [[4], [5]],
         [4, 5],
         [[4, 0, 1], [4, 1, 2]],
-    ], ids=["no-radius", "radius-text", "turns-text", "turns-fraction",
+    ], ids=["no-radius", "radius-text", "turns-text", "turns-fraction", "turns-bool",
             "one-coordinate", "bare-numbers", "three-coordinates"])
     def test_malformed_path_file_exits_2(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"

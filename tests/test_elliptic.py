@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,75 @@ class TestDefaultPath:
         t = (4.0, 1.539)
         path = default_path(t)
         assert path.clearance > 1e-3
+
+
+def _scanned_min_abs_discriminant(path, n=20001):
+    u = np.linspace(0.0, 1.0, n)
+    worst = np.inf
+    for start, velocity in path.segments():
+        t2, t3 = (start[None, :] + u[:, None] * velocity[None, :]).T
+        worst = min(worst, float(np.abs(t2 ** 3 - 27.0 * t3 ** 2).min()))
+    return worst
+
+
+class TestPathCertificate:
+    @pytest.mark.parametrize("t2,t3", [(t2, t3) for t2, t3, _ in oracles.PERIODS_HARD],
+                             ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
+    def test_clearance_is_below_a_dense_scan(self, t2, t3):
+        path = default_path((t2, t3))
+        assert 0 < path.clearance <= _scanned_min_abs_discriminant(path)
+
+    @pytest.mark.parametrize("make", [
+        lambda: default_path(oracles.PERIODS_HARD[0][:2]),
+        lambda: gaussmanin.circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64),
+    ], ids=["default-path", "64-gon"])
+    def test_four_hook_calls_per_segment(self, make):
+        calls = []
+
+        def hook(p):
+            calls.append(p)
+            return discriminant(p)
+
+        path = numerics.ParamPath(make().waypoints, discriminant=hook)
+        assert len(calls) <= 4 * len(list(path.segments()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fixed_t2_loops(self, seed):
+        # Delta is quadratic along each side of a t3-plane polygon
+        rng = np.random.default_rng(seed)
+        t2 = 4.0 * (1.0 + 0.25 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        root = complex(np.sqrt(t2 ** 3 / 27))
+        radius = abs(root) * rng.uniform(0.3, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loop = gaussmanin.circle_loop(t2, root, radius, sides=64)
+        assert 0 < loop.clearance <= _scanned_min_abs_discriminant(loop)
+
+    def test_root_just_past_the_end(self):
+        # Delta along the segment to (4, 1.539) vanishes at s = 1.0004; the
+        # path ends straight instead of circling that root and coming back
+        # through it
+        assert default_path((4.0, 1.539)).waypoints.shape == (2, 2)
+
+
+class TestRealAxisContract:
+    def test_answers_or_near_discriminant(self):
+        # real points and the same points moved 1e-9 off the real axis:
+        # each call answers with a valid matrix or raises NearDiscriminant
+        rng = np.random.default_rng(2026)
+        real = [(complex(a), complex(b)) for a, b in rng.uniform(-5.0, 5.0, (200, 2))]
+        points = real + [(a + e, b + e) for a, b in real for e in (1e-9j, -1e-9j)]
+        answered = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in points:
+                try:
+                    P = period_matrix(t)
+                except NearDiscriminant:
+                    continue
+                P.validate()
+                answered += 1
+        assert answered >= 0.9 * len(points)
 
 
 def _log_uniform(rng, real):

@@ -247,14 +247,14 @@ class TestMonodromyRoutes:
 
 
 class TestContracts:
-    @pytest.mark.parametrize("sides", [0, -1, 2, 3.5])
+    @pytest.mark.parametrize("sides", [0, -1, 2, 3.5, True])
     def test_circle_loop_sides(self, sides):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
                 circle_loop(4.0, 4.0j, 0.5, sides=sides)
 
-    @pytest.mark.parametrize("turns", [1.5, 0.5, float("nan")])
+    @pytest.mark.parametrize("turns", [1.5, 0.5, float("nan"), True, False])
     def test_circle_loop_turns(self, turns):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

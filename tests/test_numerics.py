@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -60,16 +61,28 @@ class TestParamPath:
 
     def test_clearance_certificate(self):
         disc = lambda p: p[0]
-        path = ParamPath([[1.0], [2.0]], discriminant=disc)
-        assert 0 < path.clearance <= 1.0
-        with pytest.raises(ClearanceViolation):
-            ParamPath([[-1.0], [1.0]], discriminant=disc)
-        with pytest.raises(ClearanceViolation):
-            ParamPath([[1.0], [2.0]], clearance=5.0, discriminant=disc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = ParamPath([[1.0], [2.0]], discriminant=disc)
+            assert 0 < path.clearance <= 1.0
+            with pytest.raises(ClearanceViolation):
+                ParamPath([[-1.0], [1.0]], discriminant=disc)
 
-    def test_clearance_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            ParamPath([[0.0], [1.0]], clearance=0.0)
+    def test_clearance_is_carried(self):
+        path = ParamPath([[1.0], [2.0]], discriminant=lambda p: p[0])
+        back = path.reversed()
+        assert back.clearance == path.clearance
+        assert path.concat(back).clearance == path.clearance
+        assert path.concat(ParamPath([[2.0], [3.0]])).clearance is None
+
+    def test_clearance_bounds_a_cubic(self):
+        # (s - 0.5 - 0.01i)(s + 2)(s - 3) on [0, 1]: the bound is |lead|
+        # times the distances 0.01, 2 and 2 of the roots from [0, 1]
+        disc = lambda p: (p[0] - 0.5 - 0.01j) * (p[0] + 2.0) * (p[0] - 3.0)
+        path = ParamPath([[0.0], [1.0]], discriminant=disc)
+        assert path.clearance == pytest.approx(0.04, rel=1e-12)
+        s = np.linspace(0.0, 1.0, 20001)
+        assert path.clearance <= np.abs(disc([s])).min()
 
 
 class TestQuadrature:
