@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Number
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import DEFAULT_TOL, ParamPath, _carlson_rd, _carlson_rf, _trimmed_roots
+from .numerics import DEFAULT_TOL, ParamPath, _complete_rf_rd, _trimmed_roots
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -87,18 +88,30 @@ class KhodayaPoint:
             raise ZeroT0("t0 must be nonzero")
 
 
-def as_weierstrass(t) -> WeierstrassPoint:
-    """Coerce a WeierstrassPoint or a (t2, t3) pair."""
+def _pair(t) -> tuple[complex, complex]:
+    """Complex ``(t2, t3)`` of a WeierstrassPoint or a pair of numbers."""
     if isinstance(t, WeierstrassPoint):
-        return t
-    t2, t3 = t
-    return WeierstrassPoint(t2, t3)
+        return t.t2, t.t3
+    if isinstance(t, np.ndarray):
+        t = t.tolist()  # Python scalars unpack far faster than numpy ones
+    try:
+        t2, t3 = t
+        if isinstance(t2, Number) and isinstance(t3, Number):
+            return complex(t2), complex(t3)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"expected a (t2, t3) pair of numbers, got {t!r}")
+
+
+def as_weierstrass(t) -> WeierstrassPoint:
+    """Coerce a WeierstrassPoint or a (t2, t3) pair of numbers."""
+    return t if isinstance(t, WeierstrassPoint) else WeierstrassPoint(*_pair(t))
 
 
 def discriminant(t) -> complex:
     """``t2**3 - 27 t3**2``; zero exactly on the singular members."""
-    p = as_weierstrass(t)
-    return p.t2 ** 3 - 27.0 * p.t3 ** 2
+    t2, t3 = _pair(t)
+    return t2 ** 3 - 27.0 * t3 ** 2
 
 
 def _delta_scale(p: WeierstrassPoint) -> float:
@@ -171,6 +184,8 @@ def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):
     with principal roots.  The u-integrals of ``1/sqrt(u(1-u)(1+zeta u))``
     and ``u/sqrt(...)`` are ``2 R_F(0, 1, 1+zeta)`` and
     ``(2/3) R_D(0, 1+zeta, 1)``; the cycle integral is twice the cut one.
+    Both are complete, so one AGM of 1 and ``sqrt(1+zeta)`` gives them
+    (``_complete_rf_rd``; DLMF 19.8(i), 19.22(ii)).
     """
     d = e_b - e_a
     ac = e_a - e_c
@@ -181,8 +196,7 @@ def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):
     if abs(1.0 + t_min * zeta) < 1e-6:
         raise NonConvergent("third branch point lies on the cut")
     pre = 2.0 * d / (cmath.sqrt(d) * cmath.sqrt(-d) * cmath.sqrt(ac))
-    rf = _carlson_rf(0.0, 1.0, 1.0 + zeta)
-    rd = _carlson_rd(0.0, 1.0 + zeta, 1.0)
+    rf, rd = _complete_rf_rd(1.0 + zeta)
     return pre * rf, pre * (e_a * rf + d * rd / 3.0)
 
 
@@ -296,7 +310,8 @@ def default_path(t_end, t_start=None) -> ParamPath:
         3.0 * a0[0] ** 2 * q[0] - 54.0 * a0[1] * q[1],
         a0[0] ** 3 - 27.0 * a0[1] ** 2,
     ], dtype=np.complex128)
-    _, s_roots, _ = _trimmed_roots(coeffs)
+    _, s_roots, _ = _trimmed_roots(coeffs[None])
+    s_roots = s_roots[0][~np.isnan(s_roots[0])]
 
     near = [s for s in s_roots if abs(s.imag) <= 0.15 and -0.1 <= s.real <= 1.1]
     hazards = sorted(s.real for s in near)

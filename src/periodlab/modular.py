@@ -124,9 +124,10 @@ def eisenstein_lattice(k, lat, tol=1e-10):
 
     Shells of max-norm radius S in the reduced basis are summed outright
     and the remainder beyond the current radius is completed from the
-    shells' asymptotic expansion; the result converges when two successive
-    completions agree to tol/2. Raising the radius cap is the only recourse
-    past that. A sum that leaves the float range raises NumericalError.
+    shells' asymptotic expansion until two successive completions agree to
+    0.5 * tol * max(1, |value|) (tol is relative above |E_k| = 1). Raising
+    the radius cap is the only recourse past that. A sum that leaves the
+    float range raises NumericalError.
     """
     if k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
@@ -149,7 +150,8 @@ def eisenstein_lattice(k, lat, tol=1e-10):
                 value = partial + _tail_estimate(k, shells, n_cut)
                 if not np.isfinite(value):  # lstsq runs under its own error state
                     raise FloatingPointError
-                if previous is not None and abs(value - previous) <= 0.5 * tol:
+                if previous is not None and \
+                        abs(value - previous) / max(1.0, abs(value)) <= 0.5 * tol:
                     return complex(value)
                 previous = value
     except (FloatingPointError, OverflowError):

@@ -13,8 +13,8 @@ is): the cubic through 4 samples per segment gives a lower bound on
 ``integrate_linear_ode`` transports a square complex matrix ``Y`` along a
 piecewise-linear path in parameter space under ``dY = Y A(t)^T dt``, with
 an embedded Runge-Kutta 4(5) pair and proportional step control.  The
-private kernels ``_carlson_rf`` and ``_carlson_rd`` evaluate Carlson's
-symmetric elliptic integrals by duplication in plain complex arithmetic;
+private kernel ``_complete_rf_rd`` evaluates the complete Carlson integrals
+R_F and R_D from one quadratically convergent AGM (DLMF 19.8(i), 19.22(ii));
 they give ``elliptic`` its cut-cycle closed forms.  ``quad_sqrt_singular``
 (Gauss-Legendre after a substitution that removes half-power endpoint
 singularities) is the tests' independent check of those closed forms; the
@@ -51,18 +51,31 @@ _CUBIC_FIT = np.linalg.inv(np.vander(_CUBIC_NODES))
 
 
 def _trimmed_roots(coeffs):
-    """Leading coefficient, roots and dropped size of ``coeffs`` (highest first).
+    """Leading coefficients, roots and dropped sizes of the rows of ``coeffs``.
 
-    Leading coefficients at most 1e-14 of the largest modulus are dropped as
-    rounding noise; the sum of their moduli bounds their value for |s| <= 1.
+    Each row is a polynomial, highest power first.  Leading coefficients at
+    most 1e-14 of the row's largest modulus are dropped as rounding noise;
+    the sum of their moduli bounds their value for |s| <= 1.  The roots are
+    the eigenvalues of stacked companion matrices, one ``eigvals`` call per
+    trimmed degree; missing ones are NaN.  An all-zero row has lead 0.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
+    rows, width = coeffs.shape
     size = np.abs(coeffs)
-    keep = np.flatnonzero(size > 1e-14 * size.max())
-    if not len(keep):
-        return 0.0, np.array([]), 0.0
-    first = keep[0]
-    return coeffs[first], np.roots(coeffs[first:]), float(size[:first].sum())
+    keep = size > 1e-14 * size.max(axis=1, keepdims=True)
+    first = np.where(keep.any(axis=1), keep.argmax(axis=1), width - 1)
+    lead = coeffs[np.arange(rows), first]
+    dropped = np.where(np.arange(width) < first[:, None], size, 0.0).sum(axis=1)
+    roots = np.full((rows, width - 1), np.nan, dtype=np.complex128)
+    for degree in range(1, width):
+        sel = np.flatnonzero(first == width - 1 - degree)
+        if not len(sel):
+            continue
+        companion = np.zeros((len(sel), degree, degree), dtype=np.complex128)
+        companion[:, 0, :] = -coeffs[sel, width - degree:] / lead[sel, None]
+        companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+        roots[sel, :degree] = np.linalg.eigvals(companion)
+    return lead, roots, dropped
 
 
 def _as_waypoints(waypoints) -> np.ndarray:
@@ -91,8 +104,9 @@ class ParamPath:
         cubic through 4 samples per segment gives ``clearance``, the least
         over the segments of |lead| * prod dist(root, [0, 1]) less any
         dropped noise coefficients: a lower bound on |discriminant| along
-        the path up to the rounding of the samples.  A bound that is not
-        positive raises ``ClearanceViolation``.
+        the path up to the rounding of the samples (3n + 1 hook calls for n
+        segments), or |discriminant| at the one point of a path that never
+        moves.  A bound that is not positive raises ``ClearanceViolation``.
     """
 
     def __init__(self, waypoints, discriminant=None):
@@ -106,14 +120,25 @@ class ParamPath:
                     f"|discriminant| {self.clearance:.3e}")
 
     def _certified_clearance(self, discriminant) -> float:
-        worst = np.inf
-        for start, velocity in self.segments():
-            vals = np.array([discriminant(start + u * velocity) for u in _CUBIC_NODES],
-                            dtype=np.complex128)
-            lead, roots, dropped = _trimmed_roots(_CUBIC_FIT @ vals)
-            dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
-            worst = min(worst, float(abs(lead) * np.prod(dist)) - dropped)
-        return worst
+        pts = self.waypoints
+        moving = np.any(pts[1:] != pts[:-1], axis=1)
+        starts = pts[:-1][moving]
+        velocity = pts[1:][moving] - starts
+        n = len(starts)
+        # the corners, each segment's s = 1 sample being the next one's s = 0
+        # sample, then the s = 1/3 and s = 2/3 samples
+        points = [starts, pts[-1:]] + [starts + u * velocity for u in _CUBIC_NODES[1:3]]
+        samples = np.array([discriminant(p) for p in np.vstack(points)], dtype=np.complex128)
+        if not np.all(np.isfinite(samples)):
+            return float("nan")
+        if not n:
+            return float(abs(samples[0]))
+        vals = np.column_stack([samples[:n], samples[n + 1:2 * n + 1],
+                                samples[2 * n + 1:], samples[1:n + 1]])
+        lead, roots, dropped = _trimmed_roots(vals @ _CUBIC_FIT.T)
+        dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
+        bound = np.abs(lead) * np.prod(dist, axis=1, where=~np.isnan(roots)) - dropped
+        return float(bound.min())
 
     @property
     def dimension(self) -> int:
@@ -305,90 +330,41 @@ def quad_sqrt_singular(integrand: Callable[[complex], complex], a, b,
         f"quadrature did not stabilize to {tol:.3e} within {max_nodes} nodes")
 
 
-# Relative truncation error aimed at by the Carlson duplication kernels.
-_CARLSON_R = 1e-16
-# Duplications before a kernel gives up; each one divides the spread of
-# the arguments by 4, so a convergent case needs far fewer.
+# AGM rounds before ``_complete_rf_rd`` gives up; a convergent case needs
+# far fewer, since the spread of the means squares each round.
 _CARLSON_MAX_STEPS = 100
 
 
-def _carlson_scale(x: complex, y: complex, z: complex) -> float:
-    """Largest modulus of the arguments, by which both kernels divide them.
+def _complete_rf_rd(w: complex):
+    """Complete Carlson integrals (R_F(0, 1, w), R_D(0, w, 1)), w off (-inf, 0].
 
-    R_F and R_D are homogeneous of degrees -1/2 and -3/2 under positive
-    scaling, so working at unit size keeps the duplication away from
-    overflow and underflow.
+    With M the AGM of 1 and sqrt(w), R_F = pi / (2 M) and R_D = 3 R_F (1/2 +
+    sum_{n >= 1} 2^(n-1) c_n^2 / (1 - w)) (DLMF 19.8(i), 19.22(ii), 19.25(i)).
+    c_1 = (1 - w) / (4 a_1), c_{n+1} = c_n^2 / (4 a_{n+1}) and a running
+    product for c_n^2 / (1 - w) keep w -> 1 free of cancellation; each g is
+    the root nearer the next a (the principal branch).  Stops once |c_n| <=
+    1e-17 |a_n|; raises ``NonConvergent`` after ``_CARLSON_MAX_STEPS``
+    rounds (w = 0 or non-finite) or on a non-finite result.
     """
-    m = max(abs(x), abs(y), abs(z))
-    if not 0.0 < m < float("inf"):
-        raise NonConvergent(f"Carlson arguments out of range: {x}, {y}, {z}")
-    return m
-
-
-def _duplicate(x: complex, y: complex, z: complex) -> complex:
-    sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
-    return sx * sy + sx * sz + sy * sz
-
-
-def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
-    """Carlson's R_F(x, y, z) by duplication (Carlson 1995, DLMF 19.36.1).
-
-    Arguments lie off the cut (-inf, 0], at most one of them zero; square
-    roots are principal.  Raises ``NonConvergent`` when the duplication
-    cannot reach the stopping test (two zero arguments, where R_F diverges).
-    """
-    m = _carlson_scale(x, y, z)
-    x, y, z = x / m, y / m, z / m
-    a0 = (x + y + z) / 3.0
-    dx, dy = a0 - x, a0 - y
-    q = (3.0 * _CARLSON_R) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a0 - z))
-    a, scale = a0, 1.0
+    a, g = 1.0, cmath.sqrt(w)
+    c_sq, ratio, weight, series = 1.0 - w, 1.0, 0.5, 0.5
     for _ in range(_CARLSON_MAX_STEPS):
-        if q * scale < abs(a):
-            X, Y = dx * scale / a, dy * scale / a
-            Z = -X - Y
-            e2, e3 = X * Y - Z * Z, X * Y * Z
-            return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
-                    - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(a * m)
-        lam = _duplicate(x, y, z)
-        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
-        scale /= 4.0
-    raise NonConvergent("R_F duplication did not converge")
-
-
-def _carlson_rd(x: complex, y: complex, z: complex) -> complex:
-    """Carlson's R_D(x, y, z) by duplication (Carlson 1995, DLMF 19.36.2).
-
-    All arguments lie off the cut (-inf, 0], ``z`` is nonzero and at most
-    one of ``x``, ``y`` is zero; square roots are principal.  Raises
-    ``NonConvergent`` when the duplication cannot reach the stopping test.
-    """
-    m = _carlson_scale(x, y, z)
-    x, y, z = x / m, y / m, z / m
-    a0 = (x + y + 3.0 * z) / 5.0
-    dx, dy = a0 - x, a0 - y
-    q = (_CARLSON_R / 4.0) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a0 - z))
-    a, scale, tail = a0, 1.0, 0.0
-    for _ in range(_CARLSON_MAX_STEPS):
-        if q * scale < abs(a):
-            X, Y = dx * scale / a, dy * scale / a
-            Z = -(X + Y) / 3.0
-            xy, zz = X * Y, Z * Z
-            e2 = xy - 6.0 * zz
-            e3 = (3.0 * xy - 8.0 * zz) * Z
-            e4 = 3.0 * (xy - zz) * zz
-            e5 = xy * zz * Z
-            series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
-                      - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-            value = (scale * series / (a * cmath.sqrt(a)) + 3.0 * tail) / m / math.sqrt(m)
-            if not cmath.isfinite(value):
-                raise NonConvergent("R_D is outside the float range")
-            return value
-        lam = _duplicate(x, y, z)
-        tail += scale / (cmath.sqrt(z) * (z + lam))
-        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
-        scale /= 4.0
-    raise NonConvergent("R_D duplication did not converge")
+        a_next = 0.5 * (a + g)
+        c = c_sq / (4.0 * a_next)
+        ratio *= c / (4.0 * a_next)  # c_n^2 / (1 - w)
+        weight *= 2.0
+        series += weight * ratio
+        g = cmath.sqrt(a * g)
+        if (a_next.conjugate() * g).real < 0.0:  # |a - g| > |a + g|
+            g = -g
+        a, c_sq = a_next, c * c
+        if abs(c) <= 1e-17 * abs(a):
+            rf = 0.5 * math.pi / a
+            rd = 3.0 * rf * series
+            if not (cmath.isfinite(rf) and cmath.isfinite(rd)):
+                raise NonConvergent(f"complete Carlson integrals at w={w} overflow")
+            return rf, rd
+    raise NonConvergent(f"AGM of 1 and sqrt({w}) did not converge")
 
 
 def nearest_integer_matrix(M, tol: float):

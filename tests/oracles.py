@@ -89,6 +89,27 @@ def oracle_segment_cycle(e_a, e_b, e_c, tol=1e-10):
     return 2.0 * i0, 2.0 * i1
 
 
+def oracle_clearance(path, discriminant):
+    """Certified |discriminant| along ``path``, one segment at a time.
+
+    On each segment the cubic through the hook's values at s = 0, 1/3, 2/3
+    and 1 is solved with ``np.roots`` after dropping leading coefficients
+    at most 1e-14 of the largest; the bound is |lead| times the product of
+    the roots' distances from [0, 1], less the dropped moduli.
+    """
+    nodes = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    fit = np.linalg.inv(np.vander(nodes))
+    worst = np.inf
+    for start, velocity in path.segments():
+        coeffs = fit @ np.array([discriminant(start + u * velocity) for u in nodes])
+        size = np.abs(coeffs)
+        first = np.flatnonzero(size > 1e-14 * size.max())[0]
+        roots = np.roots(coeffs[first:])
+        dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
+        worst = min(worst, abs(coeffs[first]) * np.prod(dist) - size[:first].sum())
+    return worst
+
+
 def oracle_monodromy_ode(loop, P0):
     """Integer matrix M with P_end = M P0, by ODE transport of P0 around loop.
 

@@ -226,6 +226,17 @@ class TestTransport:
         assert out == ""
         assert json.loads(err)["error"] == "ClearanceViolation"
 
+    def test_repeated_singular_point_exits_2(self, capsys, tmp_path):
+        # Delta(3, 1) = 0: a path that never moves is checked at its point
+        f = tmp_path / "path.json"
+        f.write_text(json.dumps([[[3, 0], [1, 0]], [[3, 0], [1, 0]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "pf-transport", "--path-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ClearanceViolation"
+
     def test_bad_file_shape_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"points": []}))

@@ -22,6 +22,7 @@ from periodlab.elliptic import (
     tau_to_upper,
 )
 from periodlab.errors import (
+    ClearanceViolation,
     NearDiscriminant,
     NumericalError,
     ValidationError,
@@ -66,6 +67,25 @@ class TestBasics:
     def test_near_discriminant_refused(self):
         with pytest.raises(NearDiscriminant):
             period_matrix((3.0, 1.0))
+
+    @pytest.mark.parametrize("call", [period_matrix, discriminant, default_path])
+    @pytest.mark.parametrize("bad", [(1, 2, 3), ("x", 1), ("1", "2"), None, "ab", 4.0,
+                                     (1, [2]), (10 ** 400, 1)],
+                             ids=["triple", "text", "numeric-text", "none", "string",
+                                  "scalar", "nested", "huge-int"])
+    def test_malformed_point_rejected(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                call(bad)
+
+    def test_point_forms_agree_bit_for_bit(self):
+        t2, t3 = 1.3 + 0.4j, -0.7 + 0.2j
+        forms = [WeierstrassPoint(t2, t3), (t2, t3), [t2, t3], np.array([[t2, t3]])[0]]
+        want = period_matrix(forms[0]).entries
+        for form in forms:
+            assert np.array_equal(period_matrix(form).entries, want)
+            assert discriminant(form) == discriminant(forms[0])
 
     def test_tau_to_upper(self):
         assert tau_to_upper(2.0 + 3.0j) == 2.0 + 3.0j
@@ -217,6 +237,20 @@ class TestPathCertificate:
     def test_clearance_is_below_a_dense_scan(self, t2, t3):
         path = default_path((t2, t3))
         assert 0 < path.clearance <= _scanned_min_abs_discriminant(path)
+
+    @pytest.mark.parametrize("t2,t3", [(t2, t3) for t2, t3, _ in oracles.PERIODS_HARD],
+                             ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
+    def test_matches_per_segment_oracle(self, t2, t3):
+        path = default_path((t2, t3))
+        want = oracles.oracle_clearance(path, discriminant)
+        assert abs(path.clearance - want) <= 1e-8 * want
+
+    def test_repeated_singular_point_rejected(self):
+        # no segment moves, so the one point itself is checked: Delta(3, 1) = 0
+        with pytest.raises(ClearanceViolation):
+            numerics.ParamPath([(3, 1), (3, 1)], discriminant=discriminant)
+        path = numerics.ParamPath([(4, 1), (4, 1)], discriminant=discriminant)
+        assert path.clearance == abs(discriminant((4, 1))) == 37.0
 
     @pytest.mark.parametrize("make", [
         lambda: default_path(oracles.PERIODS_HARD[0][:2]),
@@ -418,6 +452,20 @@ class TestHardPoints:
                              ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
     def test_frozen_reference(self, t2, t3, ref):
         assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)
+
+    def test_carlson_matrix_calls(self, monkeypatch):
+        # the continuation's step schedule: Carlson matrices per point
+        elliptic._anchor_matrix()
+        calls = []
+        carlson = elliptic._carlson_matrix
+        monkeypatch.setattr(elliptic, "_carlson_matrix",
+                            lambda t: calls.append(t) or carlson(t))
+        counts = []
+        for t2, t3, _ in oracles.PERIODS_HARD:
+            calls.clear()
+            period_matrix((t2, t3))
+            counts.append(len(calls))
+        assert counts == [32, 28, 48, 101, 104, 147, 113, 114, 123, 119]
 
     def test_no_ode_and_no_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):

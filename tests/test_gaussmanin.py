@@ -246,6 +246,36 @@ class TestMonodromyRoutes:
                 monodromy(unipotent_loop, bad)
 
 
+class TestWorkCounts:
+    def test_loop_hook_calls(self, monkeypatch):
+        # 128 sides: 3 samples each plus the closing point
+        calls = []
+        monkeypatch.setattr(gaussmanin.elliptic, "discriminant",
+                            lambda p: calls.append(p) or discriminant(p))
+        circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64, turns=2)
+        assert len(calls) <= 385
+
+    def test_monodromy_carlson_matrix_calls(self, monkeypatch, unipotent_loop):
+        gaussmanin.elliptic._anchor_matrix()
+        calls = []
+        carlson = gaussmanin.elliptic._carlson_matrix
+        monkeypatch.setattr(gaussmanin.elliptic, "_carlson_matrix",
+                            lambda t: calls.append(t) or carlson(t))
+        assert np.array_equal(monodromy(unipotent_loop).entries, oracles.M_LOOP)
+        assert len(calls) == 157
+
+
+class TestLoopCertificate:
+    @pytest.mark.parametrize("enclosed", [0, 1, 2])
+    @pytest.mark.parametrize("turns", [1, -1, 2, -2])
+    def test_matches_per_segment_oracle(self, enclosed, turns):
+        rng = np.random.default_rng(300 + 10 * enclosed + turns)
+        t2, center, radius = seeded_circle(rng, enclosed, real_t2=turns > 0)
+        loop = circle_loop(t2, center, radius, turns)
+        want = oracles.oracle_clearance(loop, discriminant)
+        assert abs(loop.clearance - want) <= 1e-8 * want
+
+
 class TestContracts:
     @pytest.mark.parametrize("sides", [0, -1, 2, 3.5, True])
     def test_circle_loop_sides(self, sides):

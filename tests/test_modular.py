@@ -91,6 +91,26 @@ class TestEisensteinLattice:
             with pytest.raises(NumericalError, match="outside the float range"):
                 eisenstein_lattice(k, lat)
 
+    @pytest.mark.parametrize("k,tau,mu", [(6, 0.3 + 1.2j, 1e-4), (4, 0.4 + 3j, 1e-3)],
+                             ids=["k6-mu1e-4", "k4-mu1e-3"])
+    def test_tolerance_is_relative_above_one(self, k, tau, mu):
+        # |E_k| is 1e12 and more here, beyond any absolute 1e-10
+        got = eisenstein_lattice(k, Lattice(mu * tau, mu))
+        want = eisenstein_q(k, tau) * mu ** -k
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("k,tau,mu,shells", [
+        (4, 0.3 + 1.2j, 1.5, 36), (6, 0.1 + 2j, 1.2, 36), (4, 1j, 2.0, 36),
+        (6, -0.45 + 0.9j, 1.5, 36), (8, 0.2 + 1.5j, 1.3, 36), (4, 10j, 1.5, 122),
+        (4, 30j, 1.5, 274)])
+    def test_unit_sized_sums_stop_where_they_did(self, monkeypatch, k, tau, mu, shells):
+        # with |E_k| <= 1 the stopping test is the absolute one it always was
+        summed = []
+        shell_sum = modular._shell_sum
+        monkeypatch.setattr(modular, "_shell_sum", lambda *a: summed.append(a) or shell_sum(*a))
+        assert abs(eisenstein_lattice(k, Lattice(mu * tau, mu))) <= 1.0
+        assert len(summed) == shells
+
     def test_weight_homogeneity(self):
         lat = Lattice(0.2 + 1.4j, 1.0)
         mu = 1.3 - 0.7j
@@ -154,7 +174,7 @@ class TestCrossMethod:
         for _ in range(12):
             tau = complex(rng.uniform(-1, 1), 10.0 ** -rng.uniform(8, 30))
             q_route = eisenstein_q(12, tau)
-            lattice = eisenstein_lattice(12, Lattice.from_tau(tau), tol=1e-13 * abs(q_route))
+            lattice = eisenstein_lattice(12, Lattice.from_tau(tau), tol=1e-13)
             assert abs(q_route - lattice) <= 1e-12 * abs(lattice), tau
 
     @pytest.mark.parametrize("k", [60, 200, 400])

@@ -16,8 +16,7 @@ from periodlab.errors import (
 )
 from periodlab.numerics import (
     LinearODESystem,
-    _carlson_rd,
-    _carlson_rf,
+    _complete_rf_rd,
     ParamPath,
     integrate_linear_ode,
     nearest_integer_matrix,
@@ -67,6 +66,17 @@ class TestParamPath:
             assert 0 < path.clearance <= 1.0
             with pytest.raises(ClearanceViolation):
                 ParamPath([[-1.0], [1.0]], discriminant=disc)
+
+    @pytest.mark.parametrize("hook", [lambda p: complex("nan"), lambda p: complex("inf"),
+                                      lambda p: 0.0,
+                                      lambda p: complex("inf") if p[0] == 2.0 else 1.0],
+                             ids=["nan", "inf", "zero", "inf-at-a-waypoint"])
+    def test_nonfinite_or_zero_samples_rejected(self, hook):
+        for waypoints in ([[1.0], [2.0], [3.0]], [[2.0], [2.0]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ClearanceViolation):
+                    ParamPath(waypoints, discriminant=lambda p: complex(hook(p)))
 
     def test_clearance_is_carried(self):
         path = ParamPath([[1.0], [2.0]], discriminant=lambda p: p[0])
@@ -211,61 +221,76 @@ class TestNearestInteger:
             nearest_integer_matrix(np.array([[0.4]]), 1e-4)
 
 
-def _polar(rng, quadrant=None):
-    """|z| log-uniform in [1e-6, 1e6]; the argument in ``quadrant`` (0-3) or anywhere."""
-    if quadrant is None:
-        theta = rng.uniform(-math.pi, math.pi)
-    else:
-        theta = (quadrant + rng.uniform(0.0, 1.0)) * 0.5 * math.pi
-    return cmath.rect(10.0 ** rng.uniform(-6.0, 6.0), theta)
-
-
-def _assert_kernels_match_mpmath(triples):
+def _assert_kernel_matches_mpmath(ws):
     with mp.workdps(30):
-        for x, y, z in triples:
-            for mine, ref in ((_carlson_rf, mp.elliprf), (_carlson_rd, mp.elliprd)):
-                want = complex(ref(x, y, z))
-                got = mine(x, y, z)
-                assert abs(got - want) <= 1e-13 * abs(want), (mine.__name__, x, y, z)
+        for w in ws:
+            rf, rd = _complete_rf_rd(w)
+            want_rf, want_rd = complex(mp.elliprf(0, 1, w)), complex(mp.elliprd(0, w, 1))
+            assert abs(rf - want_rf) <= 1e-13 * abs(want_rf), ("R_F", w)
+            assert abs(rd - want_rd) <= 1e-13 * abs(want_rd), ("R_D", w)
+
+
+def _passes_cut_check(w):
+    """The test ``elliptic._segment_cycle`` puts on 1 + zeta = w."""
+    zeta = w - 1.0
+    t_min = min(max(-zeta.real / abs(zeta) ** 2, 0.0), 1.0)
+    return abs(1.0 + t_min * zeta) >= 1e-6
 
 
 class TestCarlsonKernels:
+    """``_complete_rf_rd(w)`` = (R_F(0, 1, w), R_D(0, w, 1)) against mpmath."""
+
     @pytest.mark.parametrize("quadrant", [0, 1, 2, 3])
     def test_against_mpmath_per_quadrant(self, quadrant):
+        # w - 1 in one quadrant, |w - 1| log-uniform in [1e-14, 1e10]
         rng = np.random.default_rng(40 + quadrant)
-        triples = [(_polar(rng, quadrant), _polar(rng), _polar(rng)) for _ in range(60)]
-        triples += [(_polar(rng, quadrant),) * 2 + (_polar(rng, quadrant),) for _ in range(10)]
-        _assert_kernels_match_mpmath(triples)
+        ws = []
+        while len(ws) < 150:
+            theta = (quadrant + rng.uniform(0.0, 1.0)) * 0.5 * math.pi
+            w = 1.0 + cmath.rect(10.0 ** rng.uniform(-14.0, 10.0), theta)
+            if _passes_cut_check(w):
+                ws.append(w)
+        _assert_kernel_matches_mpmath(ws)
 
     def test_near_coincident_arguments(self):
+        # w -> 1, where the AGM must not lose 1 - w to cancellation
         rng = np.random.default_rng(44)
-        triples = []
-        for _ in range(80):
-            x = _polar(rng)
-            close = x * (1.0 + 10.0 ** rng.uniform(-12, -3) * cmath.exp(1j * rng.uniform(-3, 3)))
-            triples.append(tuple(rng.permutation([x, close, _polar(rng)])))
-        _assert_kernels_match_mpmath(triples)
+        ws = [1.0 + cmath.rect(10.0 ** rng.uniform(-16.0, -3.0), rng.uniform(-math.pi, math.pi))
+              for _ in range(80)]
+        _assert_kernel_matches_mpmath(ws + [1.0])
 
-    def test_one_argument_zero(self):
+    def test_near_the_negative_axis(self):
+        # w just above and below (-inf, 0], as close as the cut check allows
         rng = np.random.default_rng(45)
-        triples = [(0.0, _polar(rng), _polar(rng)) for _ in range(60)]
-        triples += [(_polar(rng), 0.0, _polar(rng)) for _ in range(20)]
-        # the shapes the cycle integrals use: R_F(0, 1, 1+zeta), R_D(0, 1+zeta, 1)
-        for _ in range(40):
-            w = 1.0 + _polar(rng)
-            triples += [(0.0, 1.0, w), (0.0, w, 1.0)]
-        _assert_kernels_match_mpmath(triples)
+        ws = []
+        for _ in range(60):
+            x = 10.0 ** rng.uniform(-5.0, 8.0)
+            for sign in (1.0, -1.0):
+                # the segment [1, w] passes the origin at distance |Im w| / |w - 1|
+                w = complex(-x, sign * 1.001e-6 * (1.0 + x))
+                assert _passes_cut_check(w)
+                ws.append(w)
+        _assert_kernel_matches_mpmath(ws)
 
-    @pytest.mark.parametrize("kernel", [_carlson_rf, _carlson_rd])
-    def test_tiny_mean_stops_with_typed_error(self, kernel):
-        # two zero arguments: the duplication mean shrinks by 4 each round,
-        # as fast as the stopping bound, so the loop must give up
-        with pytest.raises(NonConvergent):
-            kernel(0.0, 0.0, 1.0)
-        with pytest.raises(NonConvergent):
-            kernel(0.0, 0.0, 0.0)
+    def test_small_w(self):
+        rng = np.random.default_rng(46)
+        ws = [cmath.rect(10.0 ** rng.uniform(-6.0, -1.0), rng.uniform(-0.99, 0.99) * math.pi)
+              for _ in range(80)]
+        _assert_kernel_matches_mpmath(ws)
 
-    def test_tiny_scale(self):
-        assert _carlson_rf(1e-300, 1e-300, 1e-300) == pytest.approx(1e150, rel=1e-14)
-        with pytest.raises(NonConvergent):
-            _carlson_rd(1e-300, 1e-300, 1e-300)  # 1e450 is past the float range
+    @pytest.mark.parametrize("integral", [0, 1], ids=["_carlson_rf", "_carlson_rd"])
+    def test_tiny_mean_stops_with_typed_error(self, integral):
+        # R_F(0, 0, 1) and R_D(0, 0, 1) are the w = 0 shapes: the geometric
+        # mean stays 0 and both integrals diverge, so the loop must give up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent):
+                _complete_rf_rd(0.0)[integral]
+
+    @pytest.mark.parametrize("w", [complex("nan"), complex("inf"), complex(1.0, math.inf)],
+                             ids=["nan", "inf", "inf-imag"])
+    def test_divergent_or_nonfinite_w_raises(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent):
+                _complete_rf_rd(w)
