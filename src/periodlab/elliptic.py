@@ -56,6 +56,16 @@ BASE_T2 = 4.0 + 0.0j
 BASE_T3 = 0.0 + 0.0j
 
 
+def _number(name, value) -> complex:
+    """``value`` as a complex number, or ValidationError naming the field."""
+    if isinstance(value, Number):
+        try:
+            return complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WeierstrassPoint:
     """Parameter ``(t2, t3)`` of the family ``y^2 = 4x^3 - t2 x - t3``."""
@@ -64,8 +74,9 @@ class WeierstrassPoint:
     t3: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "t2", complex(self.t2))
-        object.__setattr__(self, "t3", complex(self.t3))
+        if type(self.t2) is not complex or type(self.t3) is not complex:  # complex needs no check
+            object.__setattr__(self, "t2", _number("t2", self.t2))
+            object.__setattr__(self, "t3", _number("t3", self.t3))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t2, self.t3], dtype=np.complex128)
@@ -83,7 +94,7 @@ class KhodayaPoint:
 
     def __post_init__(self):
         for name in ("t0", "t1", "t2", "t3"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.t0 == 0:
             raise ZeroT0("t0 must be nonzero")
 
@@ -96,11 +107,20 @@ def _pair(t) -> tuple[complex, complex]:
         t = t.tolist()  # Python scalars unpack far faster than numpy ones
     try:
         t2, t3 = t
-        if isinstance(t2, Number) and isinstance(t3, Number):
-            return complex(t2), complex(t3)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"expected a (t2, t3) pair of numbers, got {t!r}")
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a (t2, t3) pair of numbers, got {t!r}") from None
+    return _number("t2", t2), _number("t3", t3)
+
+
+def _as_khodaya(k) -> KhodayaPoint:
+    """Coerce a KhodayaPoint or a (t0, t1, t2, t3) tuple of numbers."""
+    if isinstance(k, KhodayaPoint):
+        return k
+    try:
+        return KhodayaPoint(*k)
+    except TypeError:  # not four values; a bad value raises ValidationError
+        raise ValidationError(
+            f"expected a (t0, t1, t2, t3) tuple of numbers, got {k!r}") from None
 
 
 def as_weierstrass(t) -> WeierstrassPoint:
@@ -466,8 +486,7 @@ def reduce_khodaya(k: KhodayaPoint):
     gives the reduced parameters ``(t2 * s, t3)``.  Returns the reduced
     point and the scale ``s``.
     """
-    if not isinstance(k, KhodayaPoint):
-        k = KhodayaPoint(*k)
+    k = _as_khodaya(k)
     s = k.t0 ** (-1.0 / 3.0)
     reduced = WeierstrassPoint(k.t2 * s, k.t3)
     _require_away_from_discriminant(reduced)
@@ -481,8 +500,7 @@ def khodaya_period_matrix(k: KhodayaPoint, tol: float = DEFAULT_TOL) -> PeriodMa
     and column 2 is ``s * (s * R[:, 1] + t1 * R[:, 0])``, from pulling the
     forms back through ``x = s v + t1``.
     """
-    if not isinstance(k, KhodayaPoint):
-        k = KhodayaPoint(*k)
+    k = _as_khodaya(k)
     reduced, s = reduce_khodaya(k)
     R = period_matrix(reduced, tol).entries
     out = np.empty((2, 2), dtype=np.complex128)

@@ -264,12 +264,12 @@ def cocycle_check(factor, samples=100, tol=1e-12, seed=0):
     return True
 
 
-def slash(f, n, a, factor=classical_factor):
-    """The weight-n slash: (f |_n A)(x) = j(x, A)^(-n) f(A x)."""
+def slash(f, n, a):
+    """The weight-n slash: (f |_n A)(x) = (cx + d)^(-n) f(A x)."""
     a = _as_int_matrix(a)
 
     def transformed(z):
-        return factor(z, a) ** (-n) * f(moebius(a, z))
+        return (a[1, 0] * z + a[1, 1]) ** (-n) * f(moebius(a, z))
 
     return transformed
 
@@ -321,8 +321,8 @@ def _shell_series(stabilizer, height, terms, tol):
     )
 
 
-def poincare_series_uhp(f, n, height, tau, factor=classical_factor, tol=1e-6):
-    """Truncated Poincare series sum_A j(tau,A)^(-n) f(A tau) over cosets.
+def poincare_series_uhp(f, n, height, tau, tol=1e-6):
+    """Truncated Poincare series sum_A (c tau + d)^(-n) f(A tau) over cosets.
 
     Summation proceeds by complete height shells of the coset family of
     the upper-triangular stabilizer (see ``_shell_series``).
@@ -332,7 +332,7 @@ def poincare_series_uhp(f, n, height, tau, factor=classical_factor, tol=1e-6):
         raise ValidationError("tau must lie in the upper half-plane")
 
     def terms(block):
-        return (factor(tau, a) ** (-n) * f(moebius(a, tau))
+        return ((a[1, 0] * tau + a[1, 1]) ** (-n) * f(moebius(a, tau))
                 for a in block.astype(float))
 
     return _shell_series("upper", height, terms, tol)

@@ -1,28 +1,21 @@
-"""Exact truncated Laurent series in the nome q.
+"""Exact truncated q-expansions: a coefficient record and its integer sources.
 
-Coefficients are Python numbers (int or Fraction), so series built from
-integer data stay exact; this is what lets the j-expansion coefficients
-come out as exact integers rather than floats. Every series carries the
-absolute exponent up to which its coefficients are known, and arithmetic
-propagates that bound conservatively.
+A `QSeries` only records coefficients; it does no arithmetic. The
+divisor sums and the normalized Eisenstein series here have integer
+coefficients (rational ones for weights whose multiplier -2k/B_k is not
+an integer), and they feed the one exact expansion in the package,
+that of 1728 j (`modular.j_q_expansion`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import ValidationError
 
 __all__ = ["QSeries", "bernoulli", "sigma_series", "eisenstein_normalized"]
-
-
-def _strip(low, coeffs):
-    # drop exact leading zeros so `low` names a genuinely nonzero term
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    return low + i, tuple(coeffs[i:])
 
 
 @dataclass(frozen=True)
@@ -43,26 +36,6 @@ class QSeries:
         if len(self.coeffs) != self.order - self.low:
             raise ValidationError("coefficient count does not match exponent range")
 
-    @staticmethod
-    def from_coeffs(low, coeffs, order=None):
-        coeffs = tuple(
-            int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in coeffs
-        )
-        if order is None:
-            order = low + len(coeffs)
-        if order > low + len(coeffs):  # caller asserts the padding is exactly zero
-            coeffs = coeffs + (0,) * (order - low - len(coeffs))
-        elif order < low + len(coeffs):
-            coeffs = coeffs[: order - low]
-        low2, coeffs2 = _strip(low, coeffs)
-        if not coeffs2:
-            return QSeries(order, (), order)
-        return QSeries(low2, coeffs2, order)
-
-    @staticmethod
-    def one(order):
-        return QSeries.from_coeffs(0, (1,), order)
-
     def coefficient(self, n):
         """Coefficient of q^n; raises if n is beyond the known range."""
         if n >= self.order:
@@ -73,121 +46,12 @@ class QSeries:
             return 0
         return self.coeffs[n - self.low]
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return QSeries.from_coeffs(self.low, self.coeffs[: max(0, order - self.low)], order)
 
-    def shift(self, k):
-        """Multiply by q^k."""
-        return QSeries(self.low + k, self.coeffs, self.order + k)
-
-    def __neg__(self):
-        return QSeries(self.low, tuple(-c for c in self.coeffs), self.order)
-
-    def _as_series(self, other):
-        if isinstance(other, QSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QSeries.from_coeffs(0, (other,), self.order)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._as_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        order = min(self.order, other.order)
-        low = min(self.low, other.low)
-        acc = [0] * (order - low)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                n = src.low + i
-                if n < order:
-                    acc[n - low] += c
-        return QSeries.from_coeffs(low, acc, order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._as_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._as_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            order = min(self.order + other.low, other.order + self.low)
-            return QSeries(order, (), order)
-        order = min(self.order + other.low, other.order + self.low)
-        low = self.low + other.low
-        acc = [0] * (order - low)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            na = self.low + i
-            for j, b in enumerate(other.coeffs):
-                n = na + other.low + j
-                if n >= order:
-                    break
-                acc[n - low] += a * b
-        return QSeries.from_coeffs(low, acc, order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValidationError("negative powers: divide explicitly")
-        if n == 0:
-            return QSeries.from_coeffs(0, (1,), self.order)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def inverse(self):
-        """Reciprocal series; the lowest stored coefficient must be a unit."""
-        if not self.coeffs:
-            raise ValidationError("cannot invert a series with no known nonzero term")
-        lead = Fraction(self.coeffs[0])
-        n_known = self.order - self.low
-        # self = lead q^low (1 + u); invert (1 + u) by the standard recurrence
-        u = [Fraction(c) / lead for c in self.coeffs[1:]]
-        inv = [1 / lead]
-        for n in range(1, n_known):
-            s = Fraction(0)
-            for j in range(1, min(n, len(u)) + 1):
-                s += u[j - 1] * inv[n - j]
-            inv.append(-s)
-        return QSeries.from_coeffs(-self.low, inv, -self.low + n_known)
-
-    def __truediv__(self, other):
-        other = self._as_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def evaluate(self, q):
-        """Numerical evaluation at a complex nome q (truncation, no tail bound)."""
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            total += complex(c) * q ** (self.low + i)
-        return total
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs[:8]):
-            n = self.low + i
-            if c == 0:
-                continue
-            parts.append(f"{c}" if n == 0 else f"{c}*q^{n}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.order})"
+def _require_terms(n_terms):
+    """`n_terms` as an int >= 1 (bools refused), else ValidationError."""
+    if isinstance(n_terms, bool) or not isinstance(n_terms, Integral) or n_terms < 1:
+        raise ValidationError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    return int(n_terms)
 
 
 def bernoulli(n):
@@ -204,12 +68,13 @@ def bernoulli(n):
 
 def sigma_series(power, n_terms):
     """sum_{n>=1} sigma_power(n) q^n with exact integer coefficients."""
-    coeffs = [0] * n_terms  # exponent n stored at index n-1
+    n_terms = _require_terms(n_terms)
+    coeffs = [0] * (n_terms - 1)  # exponent n stored at index n-1
     for d in range(1, n_terms):
         dp = d ** power
         for m in range(d, n_terms, d):
             coeffs[m - 1] += dp
-    return QSeries.from_coeffs(1, coeffs[: n_terms - 1], n_terms)
+    return QSeries(1, tuple(coeffs), n_terms)
 
 
 def eisenstein_normalized(k, n_terms):
@@ -222,4 +87,5 @@ def eisenstein_normalized(k, n_terms):
     mult = -Fraction(2 * k) / bernoulli(k)
     if mult.denominator == 1:
         mult = int(mult)
-    return QSeries.one(n_terms) + mult * sigma_series(k - 1, n_terms)
+    terms = (mult * c for c in sigma_series(k - 1, n_terms).coeffs)
+    return QSeries(0, (1, *(int(c) if c.denominator == 1 else c for c in terms)), n_terms)

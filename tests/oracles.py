@@ -144,6 +144,33 @@ def oracle_j(tau):
     return complex(mp.kleinj(complex(tau)))
 
 
+# --- the q-expansion of j ------------------------------------------------
+
+def _series_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def oracle_j_coefficients(n):
+    """The first n coefficients of 1728 j = E4^3 / Delta, from q^(-1) on.
+
+    Delta is the Jacobi product q prod (1 - q^m)^24, expanded factor by
+    factor, and E4 = 1 + 240 sum sigma_3(m) q^m comes from direct divisor
+    sums; neither E6 nor the identity E4^3 - E6^2 = 1728 Delta enters.
+    """
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, n)]
+    prod = [1] + [0] * (n - 1)  # prod (1 - q^m)^24 up to q^(n-1)
+    for m in range(1, n):
+        for _ in range(24):
+            for k in range(n - 1, m - 1, -1):
+                prod[k] -= prod[k - m]
+    num = _series_product(e4, _series_product(e4, e4))
+    out = []  # num / prod, whose leading coefficient is 1
+    for k in range(n):
+        out.append(num[k] - sum(prod[i] * out[k - i] for i in range(1, k + 1)))
+    return tuple(out)
+
+
 # --- Eisenstein by brute truncation ----------------------------------------
 
 def oracle_eisenstein(k, omega1, omega2, radius=400):

@@ -79,6 +79,12 @@ class TestBasics:
             with pytest.raises(ValidationError):
                 call(bad)
 
+    @pytest.mark.parametrize("fields", [("1", 2), (1, "2"), (None, 1), (1, [2]),
+                                        (10 ** 400, 1)])
+    def test_malformed_point_fields_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            WeierstrassPoint(*fields)
+
     def test_point_forms_agree_bit_for_bit(self):
         t2, t3 = 1.3 + 0.4j, -0.7 + 0.2j
         forms = [WeierstrassPoint(t2, t3), (t2, t3), [t2, t3], np.array([[t2, t3]])[0]]
@@ -205,6 +211,27 @@ class TestKhodaya:
     def test_zero_leading_coefficient_refused(self):
         with pytest.raises(ZeroT0):
             khodaya_period_matrix(KhodayaPoint(0.0, 1.0, 4.0, 0.0))
+        with pytest.raises(ZeroT0):
+            khodaya_period_matrix((0, 1, 4, 0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: KhodayaPoint("2", 1, 4, 0),
+        lambda: KhodayaPoint(2, 1, None, 0),
+        lambda: KhodayaPoint(2, 1, 4, 10 ** 400),
+        lambda: khodaya_period_matrix((1, 0, "x", 1)),
+        lambda: khodaya_period_matrix((1, 0, 4)),
+        lambda: khodaya_period_matrix(4.0),
+        lambda: reduce_khodaya((1, 0, 4, 0, 5)),
+    ], ids=["text-field", "none-field", "huge-int", "text-in-tuple", "three-values",
+            "scalar", "five-values"])
+    def test_malformed_point_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_tuple_and_point_agree_bit_for_bit(self):
+        want = khodaya_period_matrix(KhodayaPoint(2.0, 1.0, 4.0, 0.0)).entries
+        for form in [(2, 1, 4, 0), [2.0, 1.0, 4.0, 0.0], np.array([2.0, 1.0, 4.0, 0.0])]:
+            assert np.array_equal(khodaya_period_matrix(form).entries, want)
 
 
 class TestDefaultPath:

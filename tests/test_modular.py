@@ -303,6 +303,16 @@ class TestJ:
         coeffs = tuple(series.coefficient(n) for n in range(-1, 5))
         assert coeffs == oracles.J_QCOEFFS
 
+    def test_q_expansion_matches_jacobi_product(self):
+        want = oracles.oracle_j_coefficients(100)
+        assert want[:6] == oracles.J_QCOEFFS
+        for n in range(1, 101):
+            series = j_q_expansion(n)
+            assert (series.low, series.order) == (-1, n - 1)
+            assert series.coeffs == want[:n]
+            assert all(type(c) is int for c in series.coeffs)
+
     def test_q_expansion_needs_terms(self):
-        with pytest.raises(ValidationError):
-            j_q_expansion(0)
+        for n_terms in [0, -1, 2.5, "3", None, True]:
+            with pytest.raises(ValidationError):
+                j_q_expansion(n_terms)

@@ -10,72 +10,22 @@ from periodlab.qseries import (
     sigma_series,
 )
 
+BAD_TERMS = [0, -3, 2.5, "3", None, True]
+
 
 class TestConstruction:
-    def test_leading_zeros_stripped(self):
-        s = QSeries.from_coeffs(0, (0, 0, 3, 1), order=4)
-        assert s.low == 2
-        assert s.coefficient(2) == 3
-
     def test_unknown_coefficient_refused(self):
-        s = QSeries.from_coeffs(0, (1, 2), order=2)
+        s = QSeries(0, (1, 2), 2)
+        assert s.coefficient(-1) == 0
         assert s.coefficient(1) == 2
         with pytest.raises(ValidationError):
             s.coefficient(2)
 
-    def test_known_zero_padding(self):
-        one = QSeries.one(8)
-        assert one.coefficient(0) == 1
-        assert one.coefficient(7) == 0
-
-    def test_fraction_normalization(self):
-        s = QSeries.from_coeffs(0, (Fraction(4, 2), Fraction(1, 3)), order=2)
-        assert s.coefficient(0) == 2
-        assert isinstance(s.coefficient(0), int)
-        assert s.coefficient(1) == Fraction(1, 3)
-
-
-class TestArithmetic:
-    def test_add_and_mul(self):
-        a = QSeries.from_coeffs(-1, (1, 0, 3), order=2)
-        b = QSeries.from_coeffs(0, (2, 5), order=2)
-        s = a + b
-        assert s.coefficient(-1) == 1
-        assert s.coefficient(0) == 2
-        assert s.coefficient(1) == 8
-        p = a * b
-        assert p.low == -1
-        assert p.coefficient(-1) == 2
-        assert p.coefficient(0) == 5
-
-    def test_mul_order_propagation(self):
-        a = QSeries.from_coeffs(0, (1, 1), order=2)
-        b = QSeries.from_coeffs(1, (1,), order=5)
-        assert (a * b).order == 3  # limited by a's knowledge
-
-    def test_geometric_inverse(self):
-        # (1 - q)^(-1) = 1 + q + q^2 + ...
-        a = QSeries.from_coeffs(0, (1, -1), order=8)
-        inv = a.inverse()
-        for n in range(6):
-            assert inv.coefficient(n) == 1
-
-    def test_division_round_trip(self):
-        a = QSeries.from_coeffs(-1, (2, 3, 5, 7, 11), order=4)
-        b = QSeries.from_coeffs(1, (1, -4, 6), order=4)
-        q = a / b
-        back = q * b
-        for n in range(-1, min(back.order, 4)):
-            assert back.coefficient(n) == a.coefficient(n)
-
-    def test_pow(self):
-        a = QSeries.from_coeffs(0, (1, 1), order=6)
-        cube = a ** 3
-        assert [cube.coefficient(n) for n in range(4)] == [1, 3, 3, 1]
-
-    def test_evaluate(self):
-        a = QSeries.from_coeffs(-1, (1, 744), order=1)
-        assert a.evaluate(0.5) == pytest.approx(2.0 + 744.0)
+    def test_inconsistent_record_refused(self):
+        with pytest.raises(ValidationError):
+            QSeries(0, (1, 2), 3)
+        with pytest.raises(ValidationError):
+            QSeries(2, (), 1)
 
 
 class TestNumberTheory:
@@ -97,3 +47,20 @@ class TestNumberTheory:
         e6 = eisenstein_normalized(6, 5)
         assert [e6.coefficient(n) for n in range(4)] == [1, -504, -16632,
                                                          -122976]
+
+    def test_one_term(self):
+        assert eisenstein_normalized(4, 1) == QSeries(0, (1,), 1)
+        assert sigma_series(3, 1) == QSeries(1, (), 1)
+
+    def test_rational_multiplier(self):
+        # -24 / B_12 = 65520 / 691; the coefficients are exact, integral when they can be
+        e12 = eisenstein_normalized(12, 3)
+        assert e12.coeffs == (1, Fraction(65520, 691), Fraction(65520 * 2049, 691))
+        assert all(isinstance(c, int) for c in eisenstein_normalized(4, 8).coeffs)
+
+    @pytest.mark.parametrize("n_terms", BAD_TERMS)
+    def test_bad_term_count_refused(self, n_terms):
+        with pytest.raises(ValidationError):
+            eisenstein_normalized(4, n_terms)
+        with pytest.raises(ValidationError):
+            sigma_series(3, n_terms)
