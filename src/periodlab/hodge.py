@@ -20,6 +20,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
+from .numerics import exact_integers
 
 __all__ = [
     "HodgeType",
@@ -89,26 +90,25 @@ class HodgeType:
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1:
+        m = exact_integers(self.m, ValidationError, "weight m")
+        if m.ndim or m < 1:
             raise ValidationError("weight m must be a positive integer")
-        h = tuple(int(x) for x in self.h)
-        if len(h) != self.m + 1 or any(x < 0 for x in h):
-            raise SizeMismatch(f"h must list {self.m + 1} nonnegative integers")
+        m = int(m)
+        h = exact_integers(self.h, ValidationError, "Hodge numbers")
+        if h.shape != (m + 1,) or np.any(h < 0):
+            raise SizeMismatch(f"h must list {m + 1} nonnegative integers")
+        h = tuple(int(x) for x in h)
         if h != h[::-1]:
             raise ValidationError(f"Hodge numbers {h} are not palindromic")
-        psi = np.asarray(self.psi)
-        if not np.issubdtype(psi.dtype, np.integer):
-            rounded = np.round(np.real(psi))
-            if np.max(np.abs(psi - rounded)) > 0:
-                raise ValidationError("Psi must be an integer matrix")
-            psi = rounded.astype(np.int64)
+        psi = exact_integers(self.psi, ValidationError, "Psi")
         mu = sum(h)
         if psi.shape != (mu, mu):
             raise SizeMismatch(f"Psi must be {mu}x{mu} for h = {h}")
-        if not np.array_equal(psi.T, (-1) ** self.m * psi):
+        if not np.array_equal(psi.T, (-1) ** m * psi):
             raise ValidationError("Psi fails the (-1)^m symmetry")
         if abs(round(float(np.linalg.det(psi)))) == 0:
             raise ValidationError("Psi is singular")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "psi", psi)
         self.psi.setflags(write=False)
@@ -491,12 +491,7 @@ def weil_operator(dec):
 def group_element_action(a, filt):
     """Transform a filtration by an integer matrix preserving Psi."""
     phi = filt.phi
-    a = np.asarray(a)
-    if not np.issubdtype(a.dtype, np.integer):
-        rounded = np.round(np.real(a))
-        if np.max(np.abs(a - rounded)) > 0:
-            raise NotInGroup("group elements must be integer matrices")
-        a = rounded.astype(np.int64)
+    a = exact_integers(a, NotInGroup, "group elements")
     if a.shape != (phi.mu, phi.mu):
         raise SizeMismatch(f"expected a {phi.mu}x{phi.mu} matrix")
     if not np.array_equal(a @ phi.psi @ a.T, phi.psi):

@@ -3,7 +3,7 @@
 All scalars are complex128; tolerances are absolute distances in the complex
 plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
-in parallel.
+in parallel. ``exact_integers`` is the one check that input is integral.
 
 ``ParamPath`` certifies a path against a discriminant hook that is a
 polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
@@ -382,3 +382,20 @@ def nearest_integer_matrix(M, tol: float):
         raise NonConvergent(
             f"matrix is not integral: deviation {deviation:.3e} > {tol:.3e}")
     return N, deviation
+
+
+def exact_integers(values, error, what):
+    """``values`` as an int64 array if every entry is an integer or a finite float
+    (complex with zero imaginary part) equal to one of at most 2^53, else ``error``;
+    bools, strings and None are refused."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind in "fc" and np.all(np.isfinite(arr)) and not np.any(arr.imag):
+        real = arr.real
+        if np.all((np.abs(real) <= 2.0 ** 53) & (real == np.round(real))):
+            return real.astype(np.int64)
+    raise error(f"{what} must have integer entries")

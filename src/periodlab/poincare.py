@@ -24,6 +24,7 @@ from .errors import (
     StabilizerMismatch,
     ValidationError,
 )
+from .numerics import exact_integers
 
 __all__ = [
     "PSI2",
@@ -45,20 +46,10 @@ __all__ = [
 PSI2 = np.array([[0, 1], [-1, 0]], dtype=np.int64)
 
 
-def _as_int_matrix(a):
-    arr = np.asarray(a)
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.round(np.real(arr))
-        if arr.size and np.max(np.abs(arr - rounded)) > 0:
-            raise NotInGroup("group elements must have integer entries")
-        arr = rounded.astype(np.int64)
-    return arr
-
-
 def is_in_gamma(a, psi):
     """Exact integer test of A Psi A^T = Psi."""
-    a = _as_int_matrix(a)
-    psi = _as_int_matrix(psi)
+    a = exact_integers(a, NotInGroup, "group elements")
+    psi = exact_integers(psi, NotInGroup, "the form psi")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != psi.shape:
         raise SizeMismatch(f"shapes {a.shape} and {psi.shape} do not match")
     return bool(np.array_equal(a @ psi @ a.T, psi))
@@ -72,8 +63,8 @@ class GroupElement:
     psi: np.ndarray
 
     def __post_init__(self):
-        entries = _as_int_matrix(self.entries)
-        psi = _as_int_matrix(self.psi)
+        entries = exact_integers(self.entries, NotInGroup, "group elements")
+        psi = exact_integers(self.psi, NotInGroup, "the form psi")
         if not is_in_gamma(entries, psi):
             raise NotInGroup(f"matrix {entries.tolist()} does not preserve the form")
         object.__setattr__(self, "entries", entries)
@@ -266,7 +257,7 @@ def cocycle_check(factor, samples=100, tol=1e-12, seed=0):
 
 def slash(f, n, a):
     """The weight-n slash: (f |_n A)(x) = (cx + d)^(-n) f(A x)."""
-    a = _as_int_matrix(a)
+    a = exact_integers(a, NotInGroup, "group elements")
 
     def transformed(z):
         return (a[1, 0] * z + a[1, 1]) ** (-n) * f(moebius(a, z))

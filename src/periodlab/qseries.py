@@ -47,17 +47,16 @@ class QSeries:
         return self.coeffs[n - self.low]
 
 
-def _require_terms(n_terms):
-    """`n_terms` as an int >= 1 (bools refused), else ValidationError."""
-    if isinstance(n_terms, bool) or not isinstance(n_terms, Integral) or n_terms < 1:
-        raise ValidationError(f"n_terms must be an integer >= 1, got {n_terms!r}")
-    return int(n_terms)
+def _require_int(value, name, low):
+    """`value` as an int >= low (bools refused), else ValidationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def bernoulli(n):
-    """Bernoulli number B_n (B_1 = -1/2 convention) as an exact Fraction."""
-    if n < 0:
-        raise ValidationError("Bernoulli index must be nonnegative")
+    """Bernoulli number B_n (B_1 = +1/2 convention) as an exact Fraction."""
+    n = _require_int(n, "Bernoulli index", 0)
     b = [Fraction(0)] * (n + 1)
     for m in range(n + 1):
         b[m] = Fraction(1, m + 1)
@@ -68,7 +67,8 @@ def bernoulli(n):
 
 def sigma_series(power, n_terms):
     """sum_{n>=1} sigma_power(n) q^n with exact integer coefficients."""
-    n_terms = _require_terms(n_terms)
+    power = _require_int(power, "power", 0)
+    n_terms = _require_int(n_terms, "n_terms", 1)
     coeffs = [0] * (n_terms - 1)  # exponent n stored at index n-1
     for d in range(1, n_terms):
         dp = d ** power
@@ -82,7 +82,7 @@ def eisenstein_normalized(k, n_terms):
 
     For k = 4 the multiplier is +240, for k = 6 it is -504.
     """
-    if k < 2 or k % 2:
+    if _require_int(k, "weight", 2) % 2:
         raise ValidationError("normalized Eisenstein series needs even weight >= 2")
     mult = -Fraction(2 * k) / bernoulli(k)
     if mult.denominator == 1:

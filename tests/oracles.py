@@ -9,7 +9,7 @@ the package's ODE transport (``transport_entries``, which the Carlson
 continuation of ``monodromy`` does not use), j from mpmath's kleinj,
 Eisenstein values from naive truncated double sums or from an mpmath
 Lambert series at the unreduced tau, Hurwitz zeta tails from direct
-sums, and the case classifier from a direct transcription of its
+sums (in mpmath for complex starts), and the case classifier from a direct transcription of its
 defining conditions. Frozen constants record oracle outputs so the
 tests stay fast and drift becomes visible.
 """
@@ -228,6 +228,22 @@ def oracle_zeta_tails(n, powers, bits=256):
             head = mp.mpf(sum(t for t, _ in terms)) / 2 ** bits
             out[s] = head + mp.mpf(n) ** s * mp.zeta(s, 40 * n)
     return out
+
+
+def oracle_power_sum(s, w):
+    """w^s sum_{j >= 0} (w + j)^(-s) for a complex start w, to 20 digits.
+
+    The first J = 400 + 4|w| terms are summed directly. The rest is
+    a^(-s) (a/(s-1) + 1/2 + s/(12 a)) at a = w + J, whose error, about
+    s^3 |a|^(-s-3) / 720, is below 1e-16 of the sum for the starts tested.
+    mp.zeta(s, a) is not used: at complex a it is off by 1e-9 (s = 60).
+    """
+    with mp.workdps(20):
+        w = mp.mpc(w)
+        n = 400 + 4 * int(abs(w))
+        head = mp.fsum((w / (w + j)) ** s for j in range(n))
+        a = w + n
+        return complex(head + (w / a) ** s * (a / (s - 1) + mp.mpf(1) / 2 + s / (12 * a)))
 
 
 # --- case classifier: direct transcription ----------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from periodlab import elliptic, gaussmanin
-from periodlab.cli import main, parse_complex
+from periodlab.cli import MAX_QEXP_TERMS, main, parse_complex
 from periodlab.errors import ValidationError
 
 import oracles
@@ -133,6 +133,11 @@ class TestModularCommands:
         doc = run_json(capsys, "j-qexp", "--terms", "6")
         assert doc["low"] == -1
         assert doc["coefficients"] == list(oracles.J_QCOEFFS)
+
+    def test_j_qexp_terms_bounded(self, capsys):
+        code, _, err = run(capsys, "j-qexp", "--terms", str(MAX_QEXP_TERMS + 1))
+        assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
 
     def test_eisenstein_cross_method(self, capsys):
         doc = run_json(capsys, "eisenstein", "--k", "4", "--tau", "2i")
@@ -316,6 +321,23 @@ class TestHodgeCheck:
         f.write_text(json.dumps({"m": 2}))
         code, _, _ = run(capsys, "hodge-check", "--point-file", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("psi", [[0, 1.5], [-1.5, 0]]), ("psi", [[0, "1"], [-1, 0]]),
+        ("psi", [[0, None], [-1, 0]]), ("h", [1.5, 1.5]), ("h", ["1", 1]), ("m", 1.5),
+        ("m", "x")], ids=["half-psi", "str-psi", "none-psi", "half-h", "str-h", "half-m",
+                          "str-m"])
+    def test_non_integer_type_exits_2(self, capsys, tmp_path, field, value):
+        point = {"m": 1, "h": [1, 1], "psi": [[0, 1], [-1, 0]],
+                 "levels": [[[[0.3, 1.1]], [[1, 0]]]]}
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps(point))
+        assert run(capsys, "hodge-check", "--point-file", str(f))[0] == 0
+        point[field] = value
+        f.write_text(json.dumps(point))
+        code, _, err = run(capsys, "hodge-check", "--point-file", str(f))
+        assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
 
     @pytest.mark.parametrize("content", [5, ["tau"]], ids=["number", "list"])
     def test_point_file_not_an_object_exits_2(self, capsys, tmp_path, content):

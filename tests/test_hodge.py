@@ -49,6 +49,27 @@ class TestHodgeType:
         with pytest.raises(ValidationError):
             HodgeType(2, (1, 0, 1), np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("m,h,psi", [
+        (1, (1.5, 1.5), PSI2),
+        (1, ("1", 1), PSI2),
+        (1, (None, 1), PSI2),
+        (1.5, (1, 1), PSI2),
+        ("1", (1, 1), PSI2),
+        (1, (1, 1), [[0, "1"], [-1, 0]]),
+        (1, (1, 1), [[0, None], [-1, 0]]),
+        (1, (1, 1), [[0, 1.5], [-1.5, 0]]),
+        (1, (1, 1), [[0, np.nan], [-1, 0]]),
+    ], ids=["half-h", "str-h", "none-h", "half-m", "str-m", "str-psi", "none-psi",
+            "half-psi", "nan-psi"])
+    def test_non_integers_refused(self, m, h, psi):
+        with pytest.raises(ValidationError):
+            HodgeType(m, h, psi)
+
+    def test_exact_float_fields_accepted(self):
+        phi = HodgeType(1.0, [1.0, 1.0], np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert (phi.m, phi.h) == (1, (1, 1))
+        assert phi.psi.dtype == np.int64
+
     def test_pairing(self):
         phi = HodgeType(1, (1, 1), PSI2)
         e1, e2 = np.eye(2)
@@ -148,6 +169,12 @@ class TestGroupAction:
         _, filt = elliptic_hs(1.3j)
         with pytest.raises(NotInGroup):
             group_element_action(np.array([[2, 0], [0, 1]]), filt)
+
+    @pytest.mark.parametrize("entry", [np.nan, "1", None, 0.5])
+    def test_non_integer_matrix_refused(self, entry):
+        _, filt = elliptic_hs(1.3j)
+        with pytest.raises(NotInGroup):
+            group_element_action([[1, entry], [0, 1]], filt)
 
 
 class TestJacobianLattice:

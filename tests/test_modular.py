@@ -14,12 +14,13 @@ from periodlab.errors import (
     UnsupportedType,
     ValidationError,
 )
+from periodlab.errors import NonConvergent
 from periodlab.modular import (
-    _CHECKPOINTS,
     G6_SIGN,
     Lattice,
+    _cut,
+    _power_sum,
     _riemann_zeta,
-    _zeta_tail,
     eisenstein_lattice,
     eisenstein_q,
     full_modular_weight_check,
@@ -48,11 +49,23 @@ class TestLattice:
 
 class TestZetaKernel:
     def test_tail_matches_direct_sums(self):
+        # sum_{m > n} (n/m)^s: the terms before the kernel's start a outright
         powers = list(range(3, 41)) + [100, 200, 1000]
-        for n in _CHECKPOINTS:
+        for n in (24, 36, 54, 81, 122, 183, 274, 411):
             ref = oracles.oracle_zeta_tails(n, powers)
             for s in powers:
-                assert _zeta_tail(s, n) == pytest.approx(float(ref[s]), rel=1e-13), (s, n)
+                a = max(n + 1, _cut(s))
+                got = sum((n / m) ** s for m in range(n + 1, a)) + (n / a) ** s * _power_sum(s, a)
+                assert got == pytest.approx(float(ref[s]), rel=1e-13), (s, n)
+
+    @pytest.mark.parametrize("s", [4, 8, 12, 60, 200])
+    def test_complex_starts_match_direct_sums(self, s):
+        # the starts a row sum uses: the cut plus a point of Re in [-1/2, 1/2]
+        c = _cut(s)
+        for w in (c + 0.5 + 0.87j, c - 0.5 + 0.87j, c + 0.2 + 3.1j, c - 0.3 + 40j,
+                  c + 0.1 + 1000j):
+            ref = oracles.oracle_power_sum(s, w)
+            assert abs(_power_sum(s, w) - ref) <= 1e-13 * abs(ref), (s, w)
 
     def test_riemann_zeta(self):
         for k in list(range(4, 100, 2)) + [200, 1000]:
@@ -99,17 +112,20 @@ class TestEisensteinLattice:
         want = eisenstein_q(k, tau) * mu ** -k
         assert abs(got - want) <= 1e-10 * abs(want)
 
-    @pytest.mark.parametrize("k,tau,mu,shells", [
-        (4, 0.3 + 1.2j, 1.5, 36), (6, 0.1 + 2j, 1.2, 36), (4, 1j, 2.0, 36),
-        (6, -0.45 + 0.9j, 1.5, 36), (8, 0.2 + 1.5j, 1.3, 36), (4, 10j, 1.5, 122),
-        (4, 30j, 1.5, 274)])
-    def test_unit_sized_sums_stop_where_they_did(self, monkeypatch, k, tau, mu, shells):
-        # with |E_k| <= 1 the stopping test is the absolute one it always was
+    # (k, tau, mu, shells the fitted shell tail summed, rows the row sum takes);
+    # S shells held 4 S (S + 1) points, a row holds 2 _cut(k) - 1
+    @pytest.mark.parametrize("k,tau,mu,shells,rows", [
+        pytest.param(*case, id="-".join(map(str, case[:4]))) for case in [
+            (4, 0.3 + 1.2j, 1.5, 36, 6), (6, 0.1 + 2j, 1.2, 36, 4), (4, 1j, 2.0, 36, 8),
+            (6, -0.45 + 0.9j, 1.5, 36, 8), (8, 0.2 + 1.5j, 1.3, 36, 5),
+            (4, 10j, 1.5, 122, 1), (4, 30j, 1.5, 274, 1)]])
+    def test_unit_sized_sums_stop_where_they_did(self, monkeypatch, k, tau, mu, shells, rows):
         summed = []
-        shell_sum = modular._shell_sum
-        monkeypatch.setattr(modular, "_shell_sum", lambda *a: summed.append(a) or shell_sum(*a))
+        row_sum = modular._row_sum
+        monkeypatch.setattr(modular, "_row_sum", lambda *a: summed.append(a) or row_sum(*a))
         assert abs(eisenstein_lattice(k, Lattice(mu * tau, mu))) <= 1.0
-        assert len(summed) == shells
+        assert len(summed) == rows
+        assert rows * (2 * _cut(k) - 1) < 4 * shells * (shells + 1)
 
     def test_weight_homogeneity(self):
         lat = Lattice(0.2 + 1.4j, 1.0)
@@ -174,7 +190,7 @@ class TestCrossMethod:
         for _ in range(12):
             tau = complex(rng.uniform(-1, 1), 10.0 ** -rng.uniform(8, 30))
             q_route = eisenstein_q(12, tau)
-            lattice = eisenstein_lattice(12, Lattice.from_tau(tau), tol=1e-13)
+            lattice = eisenstein_lattice(12, Lattice.from_tau(tau))
             assert abs(q_route - lattice) <= 1e-12 * abs(lattice), tau
 
     @pytest.mark.parametrize("k", [60, 200, 400])
@@ -183,6 +199,44 @@ class TestCrossMethod:
         tau = complex(-0.5, np.sqrt(3) / 2) + 0.01j
         lattice = eisenstein_lattice(k, Lattice.from_tau(tau))
         assert abs(eisenstein_q(k, tau) - lattice) <= 1e-12 * abs(lattice)
+
+
+    @pytest.mark.parametrize("tau", [0.001j, 100j])
+    def test_elongated_lattices(self, tau):
+        # reduced Im tau = 1000 and 100: row 1 is below rounding at once
+        lattice = eisenstein_lattice(4, Lattice.from_tau(tau))
+        assert abs(eisenstein_q(4, tau) - lattice) <= 1e-12 * abs(lattice)
+
+    def test_seeded_sweep_against_q_route(self):
+        # every lattice answers, or both routes refuse it as out of float range
+        rng = np.random.default_rng(20261018)
+        answered, worst = 0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(500):
+                tau = complex(rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
+                k = int(rng.choice([4, 6, 8, 12, 24, 60, 200]))
+                try:
+                    lattice = eisenstein_lattice(k, Lattice.from_tau(tau))
+                except NumericalError as exc:
+                    assert not isinstance(exc, NonConvergent), (k, tau)
+                    with pytest.raises(NumericalError):
+                        eisenstein_q(k, tau)
+                    continue
+                q_route = eisenstein_q(k, tau)
+                worst = max(worst, abs(lattice - q_route) / abs(q_route))
+                answered += 1
+        assert answered >= 490
+        assert worst <= 1e-12
+
+    def test_lattice_route_never_takes_the_q_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("q route called")
+
+        want = eisenstein_lattice(6, Lattice.from_tau(0.3 + 1.2j))
+        monkeypatch.setattr(modular, "eisenstein_q", refuse)
+        assert eisenstein_lattice(6, Lattice.from_tau(0.3 + 1.2j)) == want
+        assert weierstrass_g(Lattice.from_tau(0.3 + 1.2j))[1] == 140.0 * G6_SIGN * want
 
 
 class TestModularGroup:
@@ -264,6 +318,8 @@ class TestModularGroup:
 
     def test_no_tuning_parameters(self):
         assert list(inspect.signature(eisenstein_q).parameters) == ["k", "tau"]
+        assert list(inspect.signature(eisenstein_lattice).parameters) == ["k", "lat"]
+        assert list(inspect.signature(weierstrass_g).parameters) == ["lat"]
         assert list(inspect.signature(j_normalized).parameters) == ["tau"]
 
 

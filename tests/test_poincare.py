@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ class TestGroupMembership:
     def test_non_integer_rejected(self):
         with pytest.raises(NotInGroup):
             is_in_gamma(np.array([[0.5, 0.0], [0.0, 2.0]]), PSI2)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, "1", None, 1 + 1e-9, 1j])
+    def test_non_number_entries_rejected(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInGroup):
+                is_in_gamma([[1, entry], [0, 1]], PSI2)
+            with pytest.raises(NotInGroup):
+                GroupElement([[1, entry], [0, 1]], PSI2)
+
+    def test_exact_float_entries_accepted(self):
+        assert is_in_gamma([[1.0, 2.0], [0.0, 1.0 + 0j]], PSI2)
 
 
 class TestGroupElement:

@@ -64,3 +64,21 @@ class TestNumberTheory:
             eisenstein_normalized(4, n_terms)
         with pytest.raises(ValidationError):
             sigma_series(3, n_terms)
+
+    @pytest.mark.parametrize("power", [-1, 1.5, "3", None, True])
+    def test_bad_power_refused(self, power):
+        with pytest.raises(ValidationError):
+            sigma_series(power, 5)
+
+    def test_power_zero_counts_divisors(self):
+        assert sigma_series(0, 7).coeffs == (1, 2, 2, 3, 2, 4)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 4.0, "4", None, True])
+    def test_bad_bernoulli_index_refused(self, n):
+        with pytest.raises(ValidationError):
+            bernoulli(n)
+
+    @pytest.mark.parametrize("k", [0, 3, 4.0, "4", None, True])
+    def test_bad_weight_refused(self, k):
+        with pytest.raises(ValidationError):
+            eisenstein_normalized(k, 3)
