@@ -91,7 +91,7 @@ def _resolve_tol(args):
 def cmd_periods(args):
     tol = _resolve_tol(args)
     t = (args.t2, args.t3)
-    pm = elliptic.period_matrix(t, tol)
+    pm = elliptic.period_matrix(t)
     target = elliptic.SIGMA * 2j * np.pi
     return {
         "command": "periods",
@@ -105,7 +105,7 @@ def cmd_periods(args):
 
 def cmd_tau(args):
     tol = _resolve_tol(args)
-    value = elliptic.period_map_tau((args.t2, args.t3), tol)
+    value = elliptic.period_map_tau((args.t2, args.t3))
     return {
         "command": "tau",
         "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": tol},
@@ -144,9 +144,9 @@ def cmd_pf_transport(args):
     path = _load_path_file(args.path_file)
     start = tuple(path.start)
     end = tuple(path.end)
-    pm_start = elliptic.period_matrix(start, tol)
+    pm_start = elliptic.period_matrix(start)
     pm_end = gaussmanin.transport(path, pm_start, tol)
-    quad_end = elliptic.period_matrix(end, tol)
+    quad_end = elliptic.period_matrix(end)
     dev = float(np.max(np.abs(pm_end.entries - quad_end.entries)))
     return {
         "command": "pf-transport",
@@ -166,7 +166,7 @@ def cmd_monodromy(args):
     tol = _resolve_tol(args)
     loop = gaussmanin.circle_loop(args.t2, args.center, args.radius,
                                   turns=args.turns)
-    m = gaussmanin.monodromy(loop, tol=tol)
+    m = gaussmanin.monodromy(loop)
     return {
         "command": "monodromy",
         "inputs": {"t2": _c(args.t2), "center": _c(args.center),
@@ -263,7 +263,11 @@ def cmd_hodge_check(args):
 
 
 def cmd_domain_dims(args):
-    h = tuple(int(v) for v in args.hodge_numbers.split(","))
+    try:
+        h = tuple(int(v) for v in args.hodge_numbers.split(","))
+    except ValueError:
+        raise ValidationError(f"--hodge-numbers must be comma-separated integers, "
+                              f"got {args.hodge_numbers!r}") from None
     phi = domain_mod.standard_type(args.weight, h)
     report = domain_mod.domain_dims(phi)
     return {
@@ -295,7 +299,7 @@ _FUNCTIONALS = {
 def cmd_poincare(args):
     tol = _resolve_tol(args)
     functional, stabilizer = _FUNCTIONALS[args.functional]
-    pm = elliptic.period_matrix((args.t2, args.t3), tol)
+    pm = elliptic.period_matrix((args.t2, args.t3))
     report = poincare.period_poincare(functional, pm, stabilizer, args.height,
                                       tol=args.series_tol, seed=args.seed)
     out = {
@@ -320,7 +324,7 @@ def cmd_poincare(args):
 def cmd_khodaya(args):
     tol = _resolve_tol(args)
     k = elliptic.KhodayaPoint(args.t0, args.t1, args.t2, args.t3)
-    pm = elliptic.khodaya_period_matrix(k, tol)
+    pm = elliptic.khodaya_period_matrix(k)
     reduced, scale = elliptic.reduce_khodaya(k)
     expected = elliptic.SIGMA * 2j * np.pi / args.t0
     return {

@@ -11,10 +11,11 @@ roots -1, 0, 1 and the two rows are the cycles over the real segments
 row 1 over row 2) lies in the upper half plane and the determinant equals
 ``SIGMA * 2*pi*i``.  Every other parameter inherits its basis by continuation
 from the anchor along a default path that detours around the discriminant
-locus.  Entry values are always Carlson closed forms (R_F, R_D) of cycles
+locus, passing a real root of a real segment above it.  Entry values are always Carlson closed forms (R_F, R_D) of cycles
 around cuts between branch points, at machine precision; the continuation
 only resolves the integer change of basis, by rounding ``T Q^-1`` from one
-step point to the next, and runs no ODE.
+step point to the next, and runs no ODE.  The determinant check is fixed
+at 1e-7 of the entry scale, so these routes take no tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import DEFAULT_TOL, ParamPath, _complete_rf_rd, _trimmed_roots
+from .numerics import ParamPath, _complete_rf_rd, _trimmed_roots
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -312,8 +313,12 @@ def default_path(t_end, t_start=None) -> ParamPath:
     parametrized by ``s in [0, 1]``; the discriminant along it is a cubic
     polynomial in ``s``, and each root close to the real unit interval is
     avoided by a polygonal semicircle in the complex ``s`` plane, on the
-    side away from the root, except a last root past ``s = 1``.  The
-    path's clearance is the exact per-segment bound of ``ParamPath``.
+    side away from the root, except a last root past ``s = 1``.  A root on
+    the real axis is passed above.  A real segment's cubic is solved in real
+    arithmetic, so its real roots are exactly real and the side never follows
+    rounding noise.  The detours are taken in the order the eigenvalue solver
+    returns the roots.  The path's clearance is the exact per-segment bound
+    of ``ParamPath``.
     """
     p1 = as_weierstrass(t_end)
     p0 = as_weierstrass(t_start) if t_start is not None else \
@@ -330,6 +335,8 @@ def default_path(t_end, t_start=None) -> ParamPath:
         3.0 * a0[0] ** 2 * q[0] - 54.0 * a0[1] * q[1],
         a0[0] ** 3 - 27.0 * a0[1] ** 2,
     ], dtype=np.complex128)
+    if not coeffs.imag.any():  # a real segment: its real roots come out exactly real
+        coeffs = coeffs.real
     _, s_roots, _ = _trimmed_roots(coeffs[None])
     s_roots = s_roots[0][~np.isnan(s_roots[0])]
 
@@ -451,13 +458,13 @@ def _continue_basis(waypoints, T):
     return T
 
 
-def period_matrix(t, tol: float = DEFAULT_TOL) -> PeriodMatrix2:
+def period_matrix(t) -> PeriodMatrix2:
     """Period matrix of ``t`` in the basis continued from the anchor.
 
     The entries are Carlson closed forms of two cut cycles at ``t``
     (machine precision); the integer combination of them that is the
     continued anchor basis comes from rounding along the default path (see
-    ``_continue_basis``).  ``tol`` bounds the determinant check.
+    ``_continue_basis``).
     """
     p = as_weierstrass(t)
     _require_away_from_discriminant(p)
@@ -470,13 +477,13 @@ def period_matrix(t, tol: float = DEFAULT_TOL) -> PeriodMatrix2:
     waypoints = path.waypoints[:-1].tolist() + [[p.t2, p.t3]]
     T = _continue_basis(waypoints, anchor.tolist())
     P = PeriodMatrix2(T)
-    P.validate(max(100.0 * tol, 1e-7))
+    P.validate(1e-7)
     return P
 
 
-def period_map_tau(t, tol: float = DEFAULT_TOL) -> complex:
+def period_map_tau(t) -> complex:
     """Upper-half-plane ratio of the first period column at ``t``."""
-    return period_matrix(t, tol).tau
+    return period_matrix(t).tau
 
 
 def reduce_khodaya(k: KhodayaPoint):
@@ -493,7 +500,7 @@ def reduce_khodaya(k: KhodayaPoint):
     return reduced, s
 
 
-def khodaya_period_matrix(k: KhodayaPoint, tol: float = DEFAULT_TOL) -> PeriodMatrix2:
+def khodaya_period_matrix(k: KhodayaPoint) -> PeriodMatrix2:
     """Period matrix of the four-coefficient family member.
 
     With reduced matrix ``R`` and scale ``s``: column 1 is ``s * R[:, 0]``
@@ -502,7 +509,7 @@ def khodaya_period_matrix(k: KhodayaPoint, tol: float = DEFAULT_TOL) -> PeriodMa
     """
     k = _as_khodaya(k)
     reduced, s = reduce_khodaya(k)
-    R = period_matrix(reduced, tol).entries
+    R = period_matrix(reduced).entries
     out = np.empty((2, 2), dtype=np.complex128)
     out[:, 0] = s * R[:, 0]
     out[:, 1] = s * (s * R[:, 1] + k.t1 * R[:, 0])

@@ -155,8 +155,7 @@ class MonodromyMatrix:
         return int(self.entries[0, 0] + self.entries[1, 1])
 
 
-def monodromy(loop: ParamPath, basepoint_periods=None,
-              tol: float = DEFAULT_TOL) -> MonodromyMatrix:
+def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     """Monodromy of the cycle basis around a closed parameter loop.
 
     The basepoint period matrix ``P0`` defaults to ``period_matrix`` at the
@@ -167,15 +166,14 @@ def monodromy(loop: ParamPath, basepoint_periods=None,
     ``period_matrix``), which ends at ``M_Q Q0`` with ``M_Q`` exact.  In the
     rows of ``P0`` the same monodromy is ``C M_Q C^-1`` with
     ``C = P0 Q0^-1``; a ``P0`` that is no period matrix gives a non-integral
-    result and ``NonIntegralMonodromy``.  ``tol`` reaches only the default
-    ``period_matrix`` call at the basepoint.
+    result and ``NonIntegralMonodromy``.
     """
     _require_plane_path(loop)
     if not loop.is_closed():
         raise ValidationError("monodromy requires a closed loop")
     start = tuple(loop.start)
     if basepoint_periods is None:
-        basepoint_periods = elliptic.period_matrix(start, tol)
+        basepoint_periods = elliptic.period_matrix(start)
     if isinstance(basepoint_periods, elliptic.PeriodMatrix2):
         P0 = basepoint_periods.entries
     else:

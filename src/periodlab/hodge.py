@@ -4,6 +4,12 @@ A structure type is (m, h, Psi): weight, Hodge numbers listed from
 h^{m,0} down to h^{0,m}, and the integer intersection form. Filtrations
 and decompositions are stored as orthonormal column bases; subspace
 equality always means projector distance, never basis equality.
+
+``real_piece_bases`` gives each real piece H^i its basis B_i, its rotation
+J_i and its Weil block C_i, the one place the Weil signs are written;
+``real_structure`` checks the real form of the polarization (Prop. 1) in
+one pass over those pieces, and ``weil_operator`` assembles C from them.
+The group check of ``group_element_action`` is ``poincare.is_in_gamma``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import exact_integers
+from .poincare import is_in_gamma
 
 __all__ = [
     "HodgeType",
@@ -53,6 +60,21 @@ def orthonormal_columns(basis, label="basis"):
     if b.shape[1] > b.shape[0] or np.any(diag <= _RANK_TOL * max(1.0, diag.max())):
         raise ValidationError(f"{label} columns are linearly dependent")
     return q
+
+
+def _checked_bases(phi, bases, what, label, dim):
+    """Orthonormalize the m + 1 bases of a flag or a decomposition and check
+    that basis i, named ``label(i)``, has dimension ``dim(i)``."""
+    if len(bases) != phi.m + 1:
+        raise SizeMismatch(f"expected {phi.m + 1} {what}")
+    cleaned = []
+    for i, basis in enumerate(bases):
+        b = orthonormal_columns(np.asarray(basis, dtype=complex).reshape(phi.mu, -1),
+                                label(i))
+        if b.shape[1] != dim(i):
+            raise ValidationError(f"dim {label(i)} = {b.shape[1]}, expected {dim(i)}")
+        cleaned.append(b)
+    return cleaned
 
 
 def projector(basis):
@@ -139,19 +161,9 @@ class HodgeFiltration:
     levels: tuple
 
     def __post_init__(self):
-        mu, m = self.phi.mu, self.phi.m
-        if len(self.levels) != m + 1:
-            raise SizeMismatch(f"expected {m + 1} filtration levels")
-        cleaned = []
-        for i, basis in enumerate(self.levels):
-            b = orthonormal_columns(np.asarray(basis, dtype=complex).reshape(mu, -1),
-                                    f"F^{i}")
-            if b.shape[1] != self.phi.filtration_dim(i):
-                raise ValidationError(
-                    f"dim F^{i} = {b.shape[1]}, expected {self.phi.filtration_dim(i)}"
-                )
-            cleaned.append(b)
-        for i in range(m):
+        cleaned = _checked_bases(self.phi, self.levels, "filtration levels",
+                                 lambda i: f"F^{i}", self.phi.filtration_dim)
+        for i in range(self.phi.m):
             inner = cleaned[i + 1]
             if inner.shape[1] and np.linalg.norm(
                 inner - projector(cleaned[i]) @ inner, 2
@@ -180,17 +192,8 @@ class HodgeDecomposition:
 
     def __post_init__(self):
         mu, m = self.phi.mu, self.phi.m
-        if len(self.pieces) != m + 1:
-            raise SizeMismatch(f"expected {m + 1} decomposition pieces")
-        cleaned = []
-        for q, basis in enumerate(self.pieces):
-            b = orthonormal_columns(np.asarray(basis, dtype=complex).reshape(mu, -1),
-                                    f"H^{{{m - q},{q}}}")
-            if b.shape[1] != self.phi.h[q]:
-                raise ValidationError(
-                    f"dim H^{{{m - q},{q}}} = {b.shape[1]}, expected {self.phi.h[q]}"
-                )
-            cleaned.append(b)
+        cleaned = _checked_bases(self.phi, self.pieces, "decomposition pieces",
+                                 lambda q: f"H^{{{m - q},{q}}}", self.phi.h.__getitem__)
         stacked = np.hstack(cleaned) if mu else np.zeros((0, 0))
         s = np.linalg.svd(stacked, compute_uv=False)
         if s.size < mu or s[-1] <= 1e-8:
@@ -245,13 +248,10 @@ def decomposition_from_filtration(filt):
 
 def filtration_from_decomposition(dec):
     """Assemble F^i as the span of H^{p, m-p} for p >= i."""
-    phi = dec.phi
-    m = phi.m
-    levels = []
-    for i in range(m, -1, -1):
-        blocks = [dec.pieces[q] for q in range(m - i + 1)]
-        levels.append(orthonormal_columns(np.hstack(blocks), f"F^{i}"))
-    return HodgeFiltration(phi, tuple(reversed(levels)))
+    m = dec.phi.m
+    return HodgeFiltration(dec.phi, tuple(
+        orthonormal_columns(np.hstack(dec.pieces[: m - i + 1]), f"F^{i}")
+        for i in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -345,40 +345,32 @@ def elliptic_hs(tau):
 
 
 def real_piece_bases(dec):
-    """Real bases of the pieces H^i and their operators J_i.
+    """Real bases B_i of the pieces H^i, their operators J_i and Weil blocks C_i.
 
     For i < m/2 the real basis interleaves Re/Im of a basis of
     H^{m-i,i} and J_i is the block rotation; for even m the middle piece
-    gets its genuine real points and J = Id.
+    gets its genuine real points and J = Id.  The Weil operator acts on
+    H^i by C_i = (-1)^((m-1)/2 + i) J_i for odd m and by the scalar
+    (-1)^(m/2 + i) for even m; both signs are (-1)^(floor(m/2) + i).
     """
     phi = dec.phi
     m = phi.m
     out = []
     for i in range(m // 2 + 1):
-        if m % 2 == 0 and i == m // 2:
-            u = dec.pieces[i]
-            raw = np.hstack([np.real(u), np.imag(u)])
-            q, s, _ = np.linalg.svd(raw, full_matrices=False)
-            basis = q[:, : phi.h[i]]
-            if basis.shape[1] != phi.h[i] or (s.size >= phi.h[i] and
-                                              phi.h[i] > 0 and s[phi.h[i] - 1] <= 1e-10):
+        u = dec.pieces[i]  # basis of H^{m-i, i}
+        if 2 * i == m:
+            q, s, _ = np.linalg.svd(np.hstack([u.real, u.imag]), full_matrices=False)
+            d = phi.h[i]
+            if s.size < d or (d and s[d - 1] <= 1e-10):
                 raise DegenerateFiltration("middle real piece has deficient rank")
-            j_op = np.eye(basis.shape[1])
+            basis, j_op = q[:, :d], np.eye(d)
         else:
-            u = dec.pieces[i]  # basis of H^{m-i, i}
-            cols = []
-            for k in range(u.shape[1]):
-                cols.append(np.real(u[:, k]))
-                cols.append(np.imag(u[:, k]))
-            basis = (np.column_stack(cols) if cols
-                     else np.zeros((phi.mu, 0)))
-            d = u.shape[1]
-            j_op = np.zeros((2 * d, 2 * d))
-            for k in range(d):
-                # J sends Re u -> -Im u and Im u -> Re u on each pair
-                j_op[2 * k, 2 * k + 1] = 1.0
-                j_op[2 * k + 1, 2 * k] = -1.0
-        out.append((basis, j_op))
+            basis = np.empty((phi.mu, 2 * u.shape[1]))
+            basis[:, 0::2], basis[:, 1::2] = u.real, u.imag
+            # J sends Re u -> -Im u and Im u -> Re u on each pair
+            j_op = np.kron(np.eye(u.shape[1]), [[0.0, 1.0], [-1.0, 0.0]])
+        weil = (-1.0) ** (m // 2 + i) * (j_op if m % 2 else np.eye(len(j_op)))
+        out.append((basis, j_op, weil))
     return out
 
 
@@ -399,93 +391,55 @@ class RealHodgeData:
 def real_structure(dec):
     """Split the real span into the pieces H^i and verify Prop. 1.
 
-    The report maps clause names to worst violations; positivity clauses
+    One pass over the pieces checks that they are psi-orthogonal, that
+    psi is J_i-invariant, that sym(B_i^T psi B_i C_i) is positive definite
+    and, for even m and i < m/2, that B_i^T psi B_i J_i vanishes.  The
+    report maps clause names to worst violations; positivity clauses
     store the negated smallest eigenvalue, so <= 0 means a clean pass.
     """
-    phi = dec.phi
-    m = phi.m
+    m = dec.phi.m
+    psi = dec.phi.psi.astype(float)
     pieces = real_piece_bases(dec)
-    psi = phi.psi.astype(float)
-    viol = {}
-    cross = 0.0
-    for a, (ba, _) in enumerate(pieces):
-        for b, (bb, _) in enumerate(pieces):
-            if a == b or ba.shape[1] == 0 or bb.shape[1] == 0:
-                continue
-            cross = max(cross, float(np.max(np.abs(ba.T @ psi @ bb))))
-    viol["orthogonality"] = cross
+    viol = {"orthogonality": 0.0, "J-invariance": 0.0}
+    if m % 2 == 0:
+        viol["even-isotropy"] = 0.0
+    worst = -np.inf
 
-    sym = 0.0
-    for basis, j_op in pieces:
+    def record(key, block):
+        viol[key] = max(viol[key], float(np.max(np.abs(block))))
+
+    for i, (basis, j_op, weil) in enumerate(pieces):
         if basis.shape[1] == 0:
             continue
+        for other, _, _ in pieces[i + 1:]:
+            if other.shape[1]:
+                record("orthogonality", basis.T @ psi @ other)
         jb = basis @ j_op
-        sym = max(sym, float(np.max(np.abs(jb.T @ psi @ jb - basis.T @ psi @ basis))))
-    viol["J-invariance"] = sym
-
-    if m % 2:
-        worst = -np.inf
-        for i, (basis, j_op) in enumerate(pieces):
-            if basis.shape[1] == 0:
-                continue
-            sign = (-1.0) ** ((m - 1) // 2 + i)
-            gram = sign * basis.T @ psi @ (basis @ j_op)
-            gram = 0.5 * (gram + gram.T)
-            worst = max(worst, -float(np.linalg.eigvalsh(gram)[0]))
-        viol["odd-positivity"] = worst
-    else:
-        skewzero = 0.0
-        worst = -np.inf
-        for i, (basis, j_op) in enumerate(pieces):
-            if basis.shape[1] == 0:
-                continue
-            skewzero = max(
-                skewzero, float(np.max(np.abs(basis.T @ psi @ (basis @ j_op))))
-            ) if i < m // 2 else skewzero
-            sign = (-1.0) ** (m // 2 + i)
-            gram = sign * basis.T @ psi @ basis
-            gram = 0.5 * (gram + gram.T)
-            worst = max(worst, -float(np.linalg.eigvalsh(gram)[0]))
-        viol["even-isotropy"] = skewzero
-        viol["even-positivity"] = worst
-
+        record("J-invariance", jb.T @ psi @ jb - basis.T @ psi @ basis)
+        if m % 2 == 0 and 2 * i < m:
+            record("even-isotropy", basis.T @ psi @ jb)
+        gram = basis.T @ psi @ (basis @ weil)
+        worst = max(worst, -float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0]))
+    viol["odd-positivity" if m % 2 else "even-positivity"] = worst
     return RealHodgeData(
-        phi=phi,
-        bases=tuple(b for b, _ in pieces),
-        operators=tuple(j for _, j in pieces),
+        phi=dec.phi,
+        bases=tuple(b for b, _, _ in pieces),
+        operators=tuple(j for _, j, _ in pieces),
         clause_violations=viol,
     )
 
 
 def weil_operator(dec):
-    """The real operator C acting by signed rotations on the pieces H^i.
+    """The real operator C acting on each piece H^i by its Weil block C_i.
 
-    C restricted to H^i is (-1)^((m-1)/2 + i) J_i for odd weight and the
-    scalar (-1)^(m/2 + i) for even weight; psi(x, C y) is then symmetric
-    positive definite, which is what the callers test.
+    With B the real bases side by side, C = [B_i C_i] B^-1; psi(x, C y)
+    is then symmetric positive definite, which is what the callers test.
     """
-    phi = dec.phi
-    m = phi.m
     pieces = real_piece_bases(dec)
-    blocks = []
-    basis_cols = []
-    for i, (basis, j_op) in enumerate(pieces):
-        if m % 2:
-            block = (-1.0) ** ((m - 1) // 2 + i) * j_op
-        else:
-            block = (-1.0) ** (m // 2 + i) * np.eye(basis.shape[1])
-        basis_cols.append(basis)
-        blocks.append(block)
-    full = np.hstack(basis_cols)
+    full = np.hstack([b for b, _, _ in pieces])
     if full.shape[0] != full.shape[1]:
         raise DegenerateFiltration("real pieces do not assemble to a full basis")
-    diag = np.zeros_like(full)
-    at = 0
-    for block in blocks:
-        d = block.shape[0]
-        diag[at: at + d, at: at + d] = block
-        at += d
-    return full @ diag @ np.linalg.inv(full)
+    return np.hstack([b @ c for b, _, c in pieces]) @ np.linalg.inv(full)
 
 
 def group_element_action(a, filt):
@@ -494,10 +448,9 @@ def group_element_action(a, filt):
     a = exact_integers(a, NotInGroup, "group elements")
     if a.shape != (phi.mu, phi.mu):
         raise SizeMismatch(f"expected a {phi.mu}x{phi.mu} matrix")
-    if not np.array_equal(a @ phi.psi @ a.T, phi.psi):
+    if not is_in_gamma(a, phi.psi):
         raise NotInGroup("matrix does not preserve the intersection form")
-    moved = tuple(a.astype(complex) @ filt.level(i) for i in range(phi.m, -1, -1))
-    return HodgeFiltration(phi, tuple(reversed(moved)))
+    return HodgeFiltration(phi, tuple(a.astype(complex) @ level for level in filt.levels))
 
 
 def jacobian_lattice(filt):

@@ -57,9 +57,10 @@ def _trimmed_roots(coeffs):
     most 1e-14 of the row's largest modulus are dropped as rounding noise;
     the sum of their moduli bounds their value for |s| <= 1.  The roots are
     the eigenvalues of stacked companion matrices, one ``eigvals`` call per
-    trimmed degree; missing ones are NaN.  An all-zero row has lead 0.
+    trimmed degree; missing ones are NaN.  An all-zero row has lead 0.  Real
+    rows are solved in real arithmetic, so that their real roots are exact.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
     rows, width = coeffs.shape
     size = np.abs(coeffs)
     keep = size > 1e-14 * size.max(axis=1, keepdims=True)
@@ -71,7 +72,7 @@ def _trimmed_roots(coeffs):
         sel = np.flatnonzero(first == width - 1 - degree)
         if not len(sel):
             continue
-        companion = np.zeros((len(sel), degree, degree), dtype=np.complex128)
+        companion = np.zeros((len(sel), degree, degree), dtype=coeffs.dtype)
         companion[:, 0, :] = -coeffs[sel, width - degree:] / lead[sel, None]
         companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
         roots[sel, :degree] = np.linalg.eigvals(companion)

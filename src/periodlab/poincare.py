@@ -47,11 +47,12 @@ PSI2 = np.array([[0, 1], [-1, 0]], dtype=np.int64)
 
 
 def is_in_gamma(a, psi):
-    """Exact integer test of A Psi A^T = Psi."""
+    """Exact test of A Psi A^T = Psi, in Python integers so that no product wraps."""
     a = exact_integers(a, NotInGroup, "group elements")
     psi = exact_integers(psi, NotInGroup, "the form psi")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != psi.shape:
         raise SizeMismatch(f"shapes {a.shape} and {psi.shape} do not match")
+    a, psi = a.astype(object), psi.astype(object)
     return bool(np.array_equal(a @ psi @ a.T, psi))
 
 
@@ -63,7 +64,7 @@ class GroupElement:
     psi: np.ndarray
 
     def __post_init__(self):
-        entries = exact_integers(self.entries, NotInGroup, "group elements")
+        entries = exact_integers(self.entries, NotInGroup, "group elements").copy()
         psi = exact_integers(self.psi, NotInGroup, "the form psi")
         if not is_in_gamma(entries, psi):
             raise NotInGroup(f"matrix {entries.tolist()} does not preserve the form")

@@ -376,6 +376,14 @@ class TestDomainCommands:
         assert code == 2
         assert json.loads(err)["error"] == "UnsupportedType"
 
+    @pytest.mark.parametrize("numbers", ["1,x", "1.5,1.5", "1,"])
+    def test_non_integer_hodge_numbers_exit_2(self, capsys, numbers):
+        code, out, err = run(capsys, "domain-dims", "--weight", "1",
+                             "--hodge-numbers", numbers)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_ks_count(self, capsys):
         doc = run_json(capsys, "ks-count", "--n", "2", "--d", "4")
         assert doc["m"] == 19

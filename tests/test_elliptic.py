@@ -331,6 +331,26 @@ class TestRealAxisContract:
                 answered += 1
         assert answered >= 0.9 * len(points)
 
+    def test_basis_does_not_follow_rounding(self):
+        # t3 moved 1-5 ulps either way keeps the matrix: a real segment's cubic
+        # is solved in real arithmetic, so a real root is passed above, never
+        # on the side its rounding noise would pick
+        rng = np.random.default_rng(7)
+        answered = 0
+        for t2, t3 in rng.uniform(-5.0, 5.0, (200, 2)):
+            try:
+                ref = period_matrix((t2, t3)).entries
+            except NearDiscriminant:
+                continue  # the zigzag, a separate defect
+            answered += 1
+            for direction in (np.inf, -np.inf):
+                nudged = t3
+                for _ in range(rng.integers(1, 6)):
+                    nudged = np.nextafter(nudged, direction)
+                got = period_matrix((t2, nudged)).entries
+                assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (t2, t3)
+        assert answered >= 180
+
 
 def _log_uniform(rng, real):
     modulus = 10.0 ** rng.uniform(-2, 3)

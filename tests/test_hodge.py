@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from periodlab.domain import base_point, standard_type
 from periodlab.errors import (
     DegenerateFiltration,
     NotInGroup,
@@ -119,7 +120,6 @@ class TestHigherWeight:
         assert report.min_positivity > 0.5
 
     def test_weight3_base_point(self):
-        from periodlab.domain import base_point
         phi = HodgeType(3, (1, 1, 1, 1),
                         np.kron(np.array([[0, 1], [-1, 0]]), np.eye(2, dtype=int)))
         filt = base_point(phi)
@@ -153,6 +153,139 @@ class TestRealStructure:
         assert np.min(np.linalg.eigvalsh(sym.real)) > 0
 
 
+def group_move(phi, seed):
+    """A generic real element of the group of phi.psi, by the Cayley transform
+    (1 - N)^-1 (1 + N) of a seeded N = Psi^-1 X in its Lie algebra."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.3, 0.3, (phi.mu, phi.mu))
+    x = x + (-1) ** (phi.m + 1) * x.T  # symmetric for odd m, skew for even m
+    n = np.linalg.solve(phi.psi, x)
+    eye = np.eye(phi.mu)
+    return np.linalg.solve(eye - n, eye + n)
+
+
+def frozen_points():
+    """A moved polarized point of each standard type, and the same flag under -Psi,
+    where the positivity clauses fail."""
+    out = {}
+    for seed, (m, h) in enumerate([(1, (1, 1)), (1, (2, 2)), (2, (1, 1, 1)),
+                                   (2, (1, 3, 1)), (3, (1, 1, 1, 1))]):
+        phi = standard_type(m, h)
+        g = group_move(phi, seed)
+        levels = tuple(g @ level for level in base_point(phi).levels[1:])
+        name = f"w{m}-" + "".join(map(str, h))
+        out[name] = HodgeFiltration.from_levels(phi, levels)
+        flipped = HodgeType(m, h, -phi.psi)
+        out[name + "-flipped"] = HodgeFiltration.from_levels(flipped, levels)
+    return out
+
+
+# real_structure clause values and weil_operator matrices at frozen_points(),
+# recorded from the implementation that wrote each Weil sign in three places.
+# The even-weight "even-isotropy" values are nonzero at polarized points too.
+FROZEN_CLAUSES = {
+    "w1-11": {
+        "orthogonality": 0.0,
+        "J-invariance": 1.3877787807814457e-17,
+        "odd-positivity": -0.0892561083368772,
+    },
+    "w1-11-flipped": {
+        "orthogonality": 0.0,
+        "J-invariance": 1.3877787807814457e-17,
+        "odd-positivity": 0.08925610833687721,
+    },
+    "w1-22": {
+        "orthogonality": 0.0,
+        "J-invariance": 1.0408340855860843e-16,
+        "odd-positivity": -0.2678374115556979,
+    },
+    "w1-22-flipped": {
+        "orthogonality": 0.0,
+        "J-invariance": 1.0408340855860843e-16,
+        "odd-positivity": 0.4743678703005929,
+    },
+    "w2-111": {
+        "orthogonality": 9.856581880919699e-17,
+        "J-invariance": 3.885780586188048e-16,
+        "even-isotropy": 0.2908727439070425,
+        "even-positivity": -0.29087274390704204,
+    },
+    "w2-111-flipped": {
+        "orthogonality": 9.856581880919699e-17,
+        "J-invariance": 3.885780586188048e-16,
+        "even-isotropy": 0.2908727439070425,
+        "even-positivity": 0.4101841262027488,
+    },
+    "w2-131": {
+        "orthogonality": 2.1237174529770814e-16,
+        "J-invariance": 1.249000902703301e-16,
+        "even-isotropy": 0.09555360141651774,
+        "even-positivity": -0.09555360141651761,
+    },
+    "w2-131-flipped": {
+        "orthogonality": 2.1237174529770814e-16,
+        "J-invariance": 1.249000902703301e-16,
+        "even-isotropy": 0.09555360141651774,
+        "even-positivity": 0.9999999999999998,
+    },
+    "w3-1111": {
+        "orthogonality": 9.761760225322817e-17,
+        "J-invariance": 5.551115123125783e-17,
+        "odd-positivity": -0.17893737932291612,
+    },
+    "w3-1111-flipped": {
+        "orthogonality": 9.761760225322817e-17,
+        "J-invariance": 5.551115123125783e-17,
+        "odd-positivity": 0.37607751720041394,
+    },
+}
+FROZEN_WEIL = {
+    "w1-11": [
+        [2.2256180218214916, -10.644419536629105],
+        [0.5592954654380277, -2.225618021821491],
+    ],
+    "w1-22": [
+        [-0.2816815679411577, 1.0396286016145926, -2.5343083908334445, 0.5435663617258466],
+        [0.33627299210539807, -0.22650979241853988, 0.5435663617258464, -0.7908881526880194],
+        [0.6069693396909824, 0.2010866970306407, 0.2816815679411574, -0.3362729921053979],
+        [0.2010866970306404, 1.9095110550946937, -1.0396286016145935, 0.22650979241854013],
+    ],
+    "w2-111": [
+        [2.43792954461069, 0.14531786007595987, -2.2186444474112186],
+        [-0.1453178600759593, -1.0061424413103985, 0.09377989257302158],
+        [2.218644447411218, 0.09377989257302193, -2.431787103300292],
+    ],
+    "w2-131": [
+        [2.3799894882559394, -2.8334447553233315, 0.21178135554384103, 2.247519096444746, -2.7724120183245207],
+        [-2.83344475532333, 7.870615898133445, -0.8728558879948475, -3.889717647363536, 7.389653430467233],
+        [0.21178135554384017, -0.8728558879948443, 1.2147249117435441, 0.04331673123578658, -1.1315515966002883],
+        [-2.2475190964447456, 3.88971764736354, -0.04331673123578806, -3.159604280601755, 3.3466434818042954],
+        [2.7724120183245198, -7.389653430467233, 1.1315515966002914, 3.3466434818042914, -7.305726017531172],
+    ],
+    "w3-1111": [
+        [-1.3956321460080066, -0.49657076243796866, -0.777157665626818, -0.4987595959819681],
+        [-1.8375696870889517, -0.41330925691185194, -0.49875959598196795, -1.8892340671636019],
+        [4.620897665271458, 0.5395513731399434, 1.3956321460080063, 1.8375696870889513],
+        [0.5395513731399441, 0.960284132629813, 0.49657076243796894, 0.41330925691185205],
+    ],
+}
+
+
+class TestFrozenRealStructure:
+    @pytest.mark.parametrize("name", sorted(FROZEN_CLAUSES))
+    def test_clauses_and_weil_operator(self, name):
+        dec = decomposition_from_filtration(frozen_points()[name])
+        clauses = real_structure(dec).clause_violations
+        assert clauses.keys() == FROZEN_CLAUSES[name].keys()
+        for key, want in FROZEN_CLAUSES[name].items():
+            assert clauses[key] == pytest.approx(want, abs=1e-12), key
+        c = weil_operator(dec)
+        assert np.isrealobj(c)
+        want = np.array(FROZEN_WEIL[name.removesuffix("-flipped")])
+        assert np.max(np.abs(c - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert verify_polarization(dec).passed == (not name.endswith("flipped"))
+
+
 class TestGroupAction:
     def test_shear_translates_tau(self):
         tau = 0.3 + 1.2j
@@ -169,6 +302,11 @@ class TestGroupAction:
         _, filt = elliptic_hs(1.3j)
         with pytest.raises(NotInGroup):
             group_element_action(np.array([[2, 0], [0, 1]]), filt)
+
+    def test_no_int64_wrap(self):
+        _, filt = elliptic_hs(1.3j)
+        with pytest.raises(NotInGroup):  # det = 1 - 2^64
+            group_element_action([[1 + 2**32, 0], [0, 1 - 2**32]], filt)
 
     @pytest.mark.parametrize("entry", [np.nan, "1", None, 0.5])
     def test_non_integer_matrix_refused(self, entry):
@@ -199,7 +337,6 @@ class TestJacobianLattice:
             jacobian_lattice(filt)
 
     def test_weight3_rank_four(self):
-        from periodlab.domain import base_point
         phi = HodgeType(3, (1, 1, 1, 1),
                         np.kron(np.array([[0, 1], [-1, 0]]), np.eye(2, dtype=int)))
         filt = base_point(phi)

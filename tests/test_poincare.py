@@ -64,8 +64,24 @@ class TestGroupMembership:
     def test_exact_float_entries_accepted(self):
         assert is_in_gamma([[1.0, 2.0], [0.0, 1.0 + 0j]], PSI2)
 
+    def test_no_int64_wrap(self):
+        # det = 1 - 2^64, which int64 arithmetic would read as 1
+        wrap = [[1 + 2**32, 0], [0, 1 - 2**32]]
+        assert not is_in_gamma(wrap, PSI2)
+        with pytest.raises(NotInGroup):
+            GroupElement(wrap, PSI2)
+        big = np.array([[2**40, 1], [2**60 - 1, 2**20]])  # det 1, products past 2^63
+        assert is_in_gamma(big, PSI2)
+
 
 class TestGroupElement:
+    def test_caller_array_stays_writable(self):
+        b = np.array([[1, 1], [0, 1]])
+        g = GroupElement(b, PSI2)
+        b[0, 0] = 5
+        assert g.entries[0, 0] == 1
+        assert not g.entries.flags.writeable
+
     def test_inverse_and_product(self):
         a = GroupElement(np.array([[1, 2], [0, 1]]), PSI2)
         b = GroupElement(np.array([[1, 0], [3, 1]]), PSI2)
