@@ -392,17 +392,16 @@ def real_structure(dec):
     """Split the real span into the pieces H^i and verify Prop. 1.
 
     One pass over the pieces checks that they are psi-orthogonal, that
-    psi is J_i-invariant, that sym(B_i^T psi B_i C_i) is positive definite
-    and, for even m and i < m/2, that B_i^T psi B_i J_i vanishes.  The
-    report maps clause names to worst violations; positivity clauses
-    store the negated smallest eigenvalue, so <= 0 means a clean pass.
+    psi is J_i-invariant and that sym(B_i^T psi B_i C_i) is positive
+    definite.  (Isotropy of H^{m-i,i} under psi is the J_i-invariance
+    clause; B_i^T psi B_i J_i itself need not vanish.)  The report maps
+    clause names to worst violations; positivity clauses store the
+    negated smallest eigenvalue, so <= 0 means a clean pass.
     """
     m = dec.phi.m
     psi = dec.phi.psi.astype(float)
     pieces = real_piece_bases(dec)
     viol = {"orthogonality": 0.0, "J-invariance": 0.0}
-    if m % 2 == 0:
-        viol["even-isotropy"] = 0.0
     worst = -np.inf
 
     def record(key, block):
@@ -416,8 +415,6 @@ def real_structure(dec):
                 record("orthogonality", basis.T @ psi @ other)
         jb = basis @ j_op
         record("J-invariance", jb.T @ psi @ jb - basis.T @ psi @ basis)
-        if m % 2 == 0 and 2 * i < m:
-            record("even-isotropy", basis.T @ psi @ jb)
         gram = basis.T @ psi @ (basis @ weil)
         worst = max(worst, -float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0]))
     viol["odd-positivity" if m % 2 else "even-positivity"] = worst

@@ -1,5 +1,5 @@
 """Integer symplectic group elements, coset enumeration, slash operators,
-and truncated Poincare series, classical and period-matrix flavored.
+and truncated Poincare series, each one sum of p(A x) over the coset table.
 
 Matrices act on the left throughout: on period matrices by X -> A X and
 on the upper half-plane through the induced Moebius map. With that
@@ -56,6 +56,14 @@ def is_in_gamma(a, psi):
     return bool(np.array_equal(a @ psi @ a.T, psi))
 
 
+def _int64_entries(exact, what):
+    """Python-integer entries as an int64 array; ValidationError past the int64 range."""
+    exact = np.array(exact, dtype=object)
+    if not all(-2**63 <= v < 2**63 for v in exact.flat):
+        raise ValidationError(f"{what} has entries outside the int64 range [-2^63, 2^63)")
+    return exact.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """An integer matrix preserving the form psi, checked at construction."""
@@ -74,22 +82,21 @@ class GroupElement:
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
-            return GroupElement(self.entries @ other.entries, self.psi)
+            exact = self.entries.astype(object) @ other.entries.astype(object)
+            return GroupElement(_int64_entries(exact, "the product"), self.psi)
         return NotImplemented
 
     def inverse(self):
         n = self.entries.shape[0]
         if n == 2:
-            a, b, c, d = self.entries.flatten()
+            a, b, c, d = self.entries.flatten().tolist()
             det = a * d - b * c
-            inv = np.array([[d, -b], [-c, a]], dtype=np.int64)
-            if det == -1:
-                inv = -inv
-            elif det != 1:
+            if det not in (1, -1):
                 raise NotInGroup("determinant is not a unit")
-            return GroupElement(inv, self.psi)
+            inv = [[det * d, -det * b], [-det * c, det * a]]
+            return GroupElement(_int64_entries(inv, "the inverse"), self.psi)
         inv = np.round(np.linalg.inv(self.entries)).astype(np.int64)
-        if not np.array_equal(self.entries @ inv, np.eye(n, dtype=np.int64)):
+        if not np.array_equal(self.entries.astype(object) @ inv.astype(object), np.eye(n)):
             raise NotInGroup("no integer inverse")
         return GroupElement(inv, self.psi)
 
@@ -261,7 +268,7 @@ def slash(f, n, a):
     a = exact_integers(a, NotInGroup, "group elements")
 
     def transformed(z):
-        return (a[1, 0] * z + a[1, 1]) ** (-n) * f(moebius(a, z))
+        return classical_factor(z, a) ** (-n) * f(moebius(a, z))
 
     return transformed
 
@@ -282,52 +289,43 @@ def _shell_tail(heights, shell_sizes):
     return float(last * h_last / (-power - 1.0))
 
 
-def _shell_series(stabilizer, height, terms, tol):
-    """Partial sums over the coset table, one complete height shell at a time.
+def _shell_series(stabilizer, height, p, x, tol):
+    """Partial sums of p(A x) over the coset table, one height shell at a time.
 
-    ``terms`` maps a block of representatives (one shell of the table) to
-    its summands, which are added in order; the report carries the partial
-    sum after each shell plus a tail estimate fitted to the shell decay.
+    Each shell of representatives moves x by one stacked matrix product and
+    p is called once per coset; the report carries the partial sum after
+    each shell plus a tail estimate fitted to the shell decay.
     """
     table, ends = _coset_table(stabilizer, height)
     heights = tuple(range(1, height + 1))
     partials, sizes = [], []
     total = 0j
     for start, end in zip((0,) + ends, ends):
-        shell = sum(terms(table[start:end]), 0j)
+        shell = sum(map(p, table[start:end] @ x), 0j)
         total += shell
         partials.append(total)
         sizes.append(abs(shell))
     tail = _shell_tail(heights, sizes)
-    settled = (
-        len(partials) >= 2
-        and abs(partials[-1] - partials[-2]) <= tol
-        and tail <= tol
-    )
-    return PartialSumsReport(
-        heights=heights,
-        partial_sums=tuple(partials),
-        tail_estimate=tail,
-        tolerance=tol,
-        converged=bool(settled),
-    )
+    settled = len(partials) >= 2 and abs(partials[-1] - partials[-2]) <= tol and tail <= tol
+    return PartialSumsReport(heights=heights, partial_sums=tuple(partials), tail_estimate=tail,
+                             tolerance=tol, converged=bool(settled))
 
 
 def poincare_series_uhp(f, n, height, tau, tol=1e-6):
     """Truncated Poincare series sum_A (c tau + d)^(-n) f(A tau) over cosets.
 
-    Summation proceeds by complete height shells of the coset family of
-    the upper-triangular stabilizer (see ``_shell_series``).
+    It is the period series of P(X) = X21^(-n) f(X11 / X21) at X with first
+    column (tau, 1), summed over the cosets of the upper-triangular
+    stabilizer (see ``_shell_series``).
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValidationError("tau must lie in the upper half-plane")
 
-    def terms(block):
-        return ((a[1, 0] * tau + a[1, 1]) ** (-n) * f(moebius(a, tau))
-                for a in block.astype(float))
+    def p(y):
+        return y[1, 0] ** (-n) * f(y[0, 0] / y[1, 0])
 
-    return _shell_series("upper", height, terms, tol)
+    return _shell_series("upper", height, p, np.array([[tau, 0], [1, 0]]), tol)
 
 
 _STAB_SAMPLES = {
@@ -379,7 +377,7 @@ def period_poincare(p, pm, stabilizer="lower", height=50, tol=1e-6, seed=0):
             tolerance=tol,
             converged=True,
         )
-    return _shell_series(stabilizer, height, lambda block: map(p, block @ x), tol)
+    return _shell_series(stabilizer, height, p, x, tol)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ the package's ODE transport (``transport_entries``, which the Carlson
 continuation of ``monodromy`` does not use), j from mpmath's kleinj,
 Eisenstein values from naive truncated double sums or from an mpmath
 Lambert series at the unreduced tau, Hurwitz zeta tails from direct
-sums (in mpmath for complex starts), and the case classifier from a direct transcription of its
-defining conditions. Frozen constants record oracle outputs so the
-tests stay fast and drift becomes visible.
+sums (in mpmath for complex starts), the classical Poincare series from a
+per-coset Moebius loop, and the case classifier from a direct
+transcription of its defining conditions. Frozen constants record oracle
+outputs so the tests stay fast and drift becomes visible.
 """
 
 import cmath
@@ -20,6 +21,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from periodlab import poincare
 from periodlab.gaussmanin import transport_entries
 from periodlab.numerics import nearest_integer_matrix, quad_sqrt_singular
 
@@ -325,6 +327,37 @@ def oracle_coset_classes(height):
                 continue
             seen.add((a, b))
     return seen
+
+
+def oracle_uhp_series(f, weights, height, tau, tol=1e-6):
+    """The classical Poincare series by its own per-coset loop.
+
+    Over the same coset table as ``poincare_series_uhp``, each row is cast
+    to float, and c tau + d and the Moebius image A tau are formed one coset
+    at a time; one f call per coset serves every weight in ``weights``.
+    Returns {n: (partial_sums, tail_estimate, converged)}.
+    """
+    table, ends = poincare._coset_table("upper", height)
+    tau = complex(tau)
+    totals = dict.fromkeys(weights, 0j)
+    partials = {n: [] for n in weights}
+    sizes = {n: [] for n in weights}
+    for start, end in zip((0,) + ends, ends):
+        terms = [(a[1, 0] * tau + a[1, 1], f(poincare.moebius(a, tau)))
+                 for a in table[start:end].astype(float)]
+        for n in weights:
+            shell = sum((j ** (-n) * w for j, w in terms), 0j)
+            totals[n] += shell
+            partials[n].append(totals[n])
+            sizes[n].append(abs(shell))
+    heights = tuple(range(1, height + 1))
+    out = {}
+    for n in weights:
+        tail = poincare._shell_tail(heights, sizes[n])
+        settled = (len(partials[n]) >= 2 and abs(partials[n][-1] - partials[n][-2]) <= tol
+                   and tail <= tol)
+        out[n] = (tuple(partials[n]), tail, bool(settled))
+    return out
 
 
 # --- frozen oracle outputs ---------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from periodlab import elliptic, gaussmanin
 from periodlab.cli import MAX_QEXP_TERMS, main, parse_complex
+from periodlab.domain import base_point, standard_type
 from periodlab.errors import ValidationError
 
 import oracles
@@ -291,6 +292,18 @@ class TestHodgeCheck:
         assert doc["passed"]
         assert doc["diagnostics"]["real_structure_passed"]
         assert doc["diagnostics"]["min_positivity"] > 0
+
+    def test_weight_two_base_point_passes_prop_one(self, capsys, tmp_path):
+        # psi = diag(1, -1, -1), F^2 = e2 + i e3: polarized, so Prop. 1 holds too
+        filt = base_point(standard_type(2, (1, 1, 1)))
+        levels = [[[[v.real, v.imag] for v in row] for row in level.tolist()]
+                  for level in filt.levels[1:]]
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps({"m": 2, "h": [1, 1, 1], "psi": filt.phi.psi.tolist(),
+                                 "levels": levels}))
+        doc = run_json(capsys, "hodge-check", "--point-file", str(f))
+        assert doc["passed"]
+        assert doc["diagnostics"]["real_structure_passed"] is True
 
     def test_conjugate_point_fails_positivity(self, capsys, tmp_path):
         f = tmp_path / "point.json"

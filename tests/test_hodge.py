@@ -182,7 +182,6 @@ def frozen_points():
 
 # real_structure clause values and weil_operator matrices at frozen_points(),
 # recorded from the implementation that wrote each Weil sign in three places.
-# The even-weight "even-isotropy" values are nonzero at polarized points too.
 FROZEN_CLAUSES = {
     "w1-11": {
         "orthogonality": 0.0,
@@ -207,25 +206,21 @@ FROZEN_CLAUSES = {
     "w2-111": {
         "orthogonality": 9.856581880919699e-17,
         "J-invariance": 3.885780586188048e-16,
-        "even-isotropy": 0.2908727439070425,
         "even-positivity": -0.29087274390704204,
     },
     "w2-111-flipped": {
         "orthogonality": 9.856581880919699e-17,
         "J-invariance": 3.885780586188048e-16,
-        "even-isotropy": 0.2908727439070425,
         "even-positivity": 0.4101841262027488,
     },
     "w2-131": {
         "orthogonality": 2.1237174529770814e-16,
         "J-invariance": 1.249000902703301e-16,
-        "even-isotropy": 0.09555360141651774,
         "even-positivity": -0.09555360141651761,
     },
     "w2-131-flipped": {
         "orthogonality": 2.1237174529770814e-16,
         "J-invariance": 1.249000902703301e-16,
-        "even-isotropy": 0.09555360141651774,
         "even-positivity": 0.9999999999999998,
     },
     "w3-1111": {
@@ -284,6 +279,7 @@ class TestFrozenRealStructure:
         want = np.array(FROZEN_WEIL[name.removesuffix("-flipped")])
         assert np.max(np.abs(c - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert verify_polarization(dec).passed == (not name.endswith("flipped"))
+        assert real_structure(dec).passed == verify_polarization(dec).passed
 
 
 class TestGroupAction:

@@ -90,6 +90,21 @@ class TestGroupElement:
         ident = prod @ prod.inverse()
         assert np.array_equal(ident.entries, np.eye(2, dtype=np.int64))
 
+    def test_product_past_int64_names_the_range(self):
+        a = GroupElement([[1, 2**40], [0, 1]], PSI2)
+        with pytest.raises(ValidationError, match="int64 range"):
+            a @ GroupElement([[1, 0], [2**30, 1]], PSI2)  # entry 1 + 2^70
+        with pytest.raises(ValidationError, match="int64 range"):
+            GroupElement([[1, -2**63], [0, 1]], PSI2).inverse()  # entry 2^63
+
+    def test_product_that_fits_is_exact(self):
+        a = GroupElement([[1, 2**40], [0, 1]], PSI2)
+        prod = a @ GroupElement([[1, 0], [2**20, 1]], PSI2)
+        assert prod.entries.tolist() == [[1 + 2**60, 2**40], [2**20, 1]]
+        big = GroupElement([[2**40, 1], [2**60 - 1, 2**20]], PSI2)
+        assert big.inverse().entries.tolist() == [[2**20, -1], [1 - 2**60, 2**40]]
+        assert (big @ big.inverse()).entries.tolist() == [[1, 0], [0, 1]]
+
     def test_rejects_outsiders(self):
         with pytest.raises(NotInGroup):
             GroupElement(np.array([[2, 0], [0, 1]]), PSI2)
@@ -160,6 +175,39 @@ class TestCosetEnumeration:
         uhp = poincare_series_uhp(lambda z: 1.0, 4, height, tau).value
         assert abs(pp - ref_pp) <= 1e-12 * abs(ref_pp)
         assert abs(uhp - ref_uhp) <= 1e-12 * abs(ref_uhp)
+
+
+UHP_TAUS = [0.3 + 1.1j, -0.2 + 0.9j, 0.01 + 0.05j, 2.7 + 3.1j, np.exp(1j * np.pi / 3)]
+UHP_FUNCTIONS = {"one": lambda z: 1.0, "q": lambda z: np.exp(2j * np.pi * z),
+                 "square": lambda z: z ** 2}
+
+
+class TestOneSeriesEngine:
+    @pytest.mark.parametrize("tau", UHP_TAUS)
+    @pytest.mark.parametrize("name", sorted(UHP_FUNCTIONS))
+    def test_classical_series_matches_per_coset_loop(self, tau, name):
+        # summing P(X) = X21^-n f(X11/X21) over A X changes no bit of the result
+        f, weights = UHP_FUNCTIONS[name], (0, 2, 4, 6, 12)
+        for height in (1, 5, 40, 120):
+            ref = oracles.oracle_uhp_series(f, weights, height, tau)
+            for n in weights:
+                rep = poincare_series_uhp(f, n, height, tau)
+                assert (rep.partial_sums, rep.tail_estimate, rep.converged) == ref[n]
+
+    def test_one_functional_call_per_coset(self, pm):
+        cosets = len(oracles.oracle_coset_classes(12))
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return 1.0
+
+        poincare_series_uhp(f, 4, 12, 0.3 + 1.1j)
+        assert len(calls) == cosets
+        calls.clear()
+        period_poincare(lambda x: f(x) * x[0, 0] ** (-4), pm, "lower", 12)
+        # plus the stabilizer check: 4 sampled X, each alone and under 8 samples
+        assert len(calls) == cosets + 4 * 9
 
 
 class TestCocycle:
