@@ -5,7 +5,8 @@ diagnostics) or, with ``--sweep flag=start:stop:count``, CSV rows over a
 real grid in one flag. Complex numbers serialize as two-element arrays
 [re, im] and matrices as row-major nested arrays, so any value parses
 back losslessly. Exit codes: 0 success, 2 rejected input, 3 numerical
-failure.
+failure. ``main`` writes the envelope (``args.tol``, ``"command"`` and the
+``{"error", "message"}`` JSON of exits 2 and 3); a handler returns its payload.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ def _cmat(m):
     return [[_c(v) for v in row] for row in np.asarray(m)]
 
 
-def _imat(m):
-    return [[int(v) for v in row] for row in np.asarray(m)]
-
-
 def _json_to_complex(leaf):
     if isinstance(leaf, (int, float)):
         return complex(leaf)
@@ -70,32 +67,29 @@ def _json_to_cmatrix(rows):
 
 
 def _resolve_tol(args):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("PERIODLAB_TOL")
-    if env:
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env, source = os.environ.get("PERIODLAB_TOL"), "PERIODLAB_TOL"
+        if not env:
+            return DEFAULT_TOL
         try:
             tol = float(env)
         except ValueError:
-            raise ValidationError(f"PERIODLAB_TOL={env!r} is not a number")
-        if not tol > 0:
-            raise ValidationError("PERIODLAB_TOL must be positive")
-        return tol
-    return DEFAULT_TOL
+            raise ValidationError(f"PERIODLAB_TOL={env!r} is not a number") from None
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"{source} must be positive and finite, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers, each mapping parsed args to a plain dict
+# subcommand handlers, each mapping parsed args to its payload
 
 
 def cmd_periods(args):
-    tol = _resolve_tol(args)
-    t = (args.t2, args.t3)
-    pm = elliptic.period_matrix(t)
+    pm = elliptic.period_matrix((args.t2, args.t3))
     target = elliptic.SIGMA * 2j * np.pi
     return {
-        "command": "periods",
-        "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": tol},
+        "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": args.tol},
         "matrix": _cmat(pm.entries),
         "det": _c(pm.det),
         "tau": _c(pm.tau),
@@ -104,11 +98,9 @@ def cmd_periods(args):
 
 
 def cmd_tau(args):
-    tol = _resolve_tol(args)
     value = elliptic.period_map_tau((args.t2, args.t3))
     return {
-        "command": "tau",
-        "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": tol},
+        "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": args.tol},
         "tau": _c(value),
     }
 
@@ -140,18 +132,14 @@ def _load_path_file(path):
 
 
 def cmd_pf_transport(args):
-    tol = _resolve_tol(args)
     path = _load_path_file(args.path_file)
-    start = tuple(path.start)
-    end = tuple(path.end)
-    pm_start = elliptic.period_matrix(start)
-    pm_end = gaussmanin.transport(path, pm_start, tol)
-    quad_end = elliptic.period_matrix(end)
+    pm_start = elliptic.period_matrix(tuple(path.start))
+    pm_end = gaussmanin.transport(path, pm_start, args.tol)
+    quad_end = elliptic.period_matrix(tuple(path.end))
     dev = float(np.max(np.abs(pm_end.entries - quad_end.entries)))
     return {
-        "command": "pf-transport",
         "inputs": {"path_file": args.path_file, "waypoints": len(path.waypoints),
-                   "tol": tol},
+                   "tol": args.tol},
         "start": _cmat(pm_start.entries),
         "end": _cmat(pm_end.entries),
         "end_quadrature": _cmat(quad_end.entries),
@@ -163,22 +151,19 @@ def cmd_pf_transport(args):
 
 
 def cmd_monodromy(args):
-    tol = _resolve_tol(args)
     loop = gaussmanin.circle_loop(args.t2, args.center, args.radius,
                                   turns=args.turns)
     m = gaussmanin.monodromy(loop)
     return {
-        "command": "monodromy",
         "inputs": {"t2": _c(args.t2), "center": _c(args.center),
-                   "radius": args.radius, "turns": args.turns, "tol": tol},
-        "matrix": _imat(m.entries),
+                   "radius": args.radius, "turns": args.turns, "tol": args.tol},
+        "matrix": m.entries.tolist(),
         "trace": m.trace,
         "diagnostics": {"integer_deviation": m.deviation},
     }
 
 
 def cmd_eisenstein(args):
-    tol = _resolve_tol(args)
     if args.tau is None and (args.omega1 is None or args.omega2 is None):
         raise ValidationError("eisenstein needs --tau or both --omega1 and --omega2")
     if args.tau is not None:
@@ -187,9 +172,8 @@ def cmd_eisenstein(args):
         lat = modular.Lattice(args.omega1, args.omega2)
     value = modular.eisenstein_lattice(args.k, lat)
     out = {
-        "command": "eisenstein",
         "inputs": {"k": args.k, "omega1": _c(lat.omega1), "omega2": _c(lat.omega2),
-                   "tol": tol},
+                   "tol": args.tol},
         "value": _c(value),
         "diagnostics": {},
     }
@@ -203,7 +187,6 @@ def cmd_eisenstein(args):
 def cmd_j(args):
     value = modular.j_normalized(args.tau)
     return {
-        "command": "j",
         "inputs": {"tau": _c(args.tau)},
         "value_normalized": _c(value),
         "value_1728": _c(1728.0 * value),
@@ -219,7 +202,6 @@ def cmd_j_qexp(args):
         raise ValidationError(f"--terms is at most {MAX_QEXP_TERMS}, got {args.terms}")
     series = modular.j_q_expansion(args.terms)
     return {
-        "command": "j-qexp",
         "inputs": {"terms": args.terms},
         "low": series.low,
         "coefficients": [int(c) for c in series.coeffs],
@@ -240,15 +222,13 @@ def _filtration_from_file(path):
 
 
 def cmd_hodge_check(args):
-    tol = _resolve_tol(args)
     filt = _filtration_from_file(args.point_file)
     dec = hodge.decomposition_from_filtration(filt)
-    pol = hodge.verify_polarization(dec, tol)
+    pol = hodge.verify_polarization(dec, args.tol)
     real = hodge.real_structure(dec)
     return {
-        "command": "hodge-check",
         "inputs": {"point_file": args.point_file, "weight": filt.phi.m,
-                   "h": list(filt.phi.h), "tol": tol},
+                   "h": list(filt.phi.h), "tol": args.tol},
         "first_relation": pol.first,
         "second_relation": pol.second,
         "passed": pol.passed,
@@ -271,7 +251,6 @@ def cmd_domain_dims(args):
     phi = domain_mod.standard_type(args.weight, h)
     report = domain_mod.domain_dims(phi)
     return {
-        "command": "domain-dims",
         "inputs": {"weight": args.weight, "hodge_numbers": list(h)},
         "dim_D": report.dim_D,
         "dim_compact_dual": report.dim_compact_dual,
@@ -284,7 +263,6 @@ def cmd_domain_dims(args):
 
 def cmd_ks_count(args):
     return {
-        "command": "ks-count",
         "inputs": {"n": args.n, "d": args.d},
         "m": domain_mod.kodaira_spencer_count(args.n, args.d),
     }
@@ -297,16 +275,14 @@ _FUNCTIONALS = {
 
 
 def cmd_poincare(args):
-    tol = _resolve_tol(args)
     functional, stabilizer = _FUNCTIONALS[args.functional]
     pm = elliptic.period_matrix((args.t2, args.t3))
     report = poincare.period_poincare(functional, pm, stabilizer, args.height,
                                       tol=args.series_tol, seed=args.seed)
     out = {
-        "command": "poincare",
         "inputs": {"functional": args.functional, "t2": _c(args.t2),
                    "t3": _c(args.t3), "height": args.height,
-                   "series_tol": args.series_tol, "tol": tol},
+                   "series_tol": args.series_tol, "tol": args.tol},
         "value": _c(report.value),
         "converged": report.converged,
         "diagnostics": {
@@ -322,37 +298,19 @@ def cmd_poincare(args):
 
 
 def cmd_khodaya(args):
-    tol = _resolve_tol(args)
     k = elliptic.KhodayaPoint(args.t0, args.t1, args.t2, args.t3)
     pm = elliptic.khodaya_period_matrix(k)
     reduced, scale = elliptic.reduce_khodaya(k)
     expected = elliptic.SIGMA * 2j * np.pi / args.t0
     return {
-        "command": "khodaya",
         "inputs": {"t0": _c(args.t0), "t1": _c(args.t1), "t2": _c(args.t2),
-                   "t3": _c(args.t3), "tol": tol},
+                   "t3": _c(args.t3), "tol": args.tol},
         "matrix": _cmat(pm.entries),
         "det": _c(pm.det),
         "reduced": {"t2": _c(reduced.t2), "t3": _c(reduced.t3),
                     "scale": _c(scale)},
         "diagnostics": {"det_deviation": abs(pm.det - expected)},
     }
-
-
-_HANDLERS = {
-    "periods": cmd_periods,
-    "tau": cmd_tau,
-    "pf-transport": cmd_pf_transport,
-    "monodromy": cmd_monodromy,
-    "eisenstein": cmd_eisenstein,
-    "j": cmd_j,
-    "j-qexp": cmd_j_qexp,
-    "hodge-check": cmd_hodge_check,
-    "domain-dims": cmd_domain_dims,
-    "ks-count": cmd_ks_count,
-    "poincare": cmd_poincare,
-    "khodaya": cmd_khodaya,
-}
 
 
 def build_parser():
@@ -371,50 +329,61 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("periods", help="2x2 period matrix at (t2, t3)")
+    p.set_defaults(handler=cmd_periods)
     p.add_argument("--t2", type=parse_complex, required=True)
     p.add_argument("--t3", type=parse_complex, required=True)
 
     p = sub.add_parser("tau", help="period ratio at (t2, t3)")
+    p.set_defaults(handler=cmd_tau)
     p.add_argument("--t2", type=parse_complex, required=True)
     p.add_argument("--t3", type=parse_complex, required=True)
 
     p = sub.add_parser("pf-transport", help="transport periods along a path file")
+    p.set_defaults(handler=cmd_pf_transport)
     p.add_argument("--path-file", required=True,
                    help="JSON waypoint array [[t2,t3],...] with [re,im] entries, "
                         "or {\"loop\": {\"t2\":..., \"center\":..., \"radius\":..., \"turns\":...}}")
 
     p = sub.add_parser("monodromy", help="integer monodromy around a t3-plane circle")
+    p.set_defaults(handler=cmd_monodromy)
     p.add_argument("--t2", type=parse_complex, required=True)
     p.add_argument("--center", type=parse_complex, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--turns", type=int, default=1)
 
     p = sub.add_parser("eisenstein", help="weight-k lattice sum")
+    p.set_defaults(handler=cmd_eisenstein)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tau", type=parse_complex, default=None)
     p.add_argument("--omega1", type=parse_complex, default=None)
     p.add_argument("--omega2", type=parse_complex, default=None)
 
     p = sub.add_parser("j", help="j at tau, both normalizations")
+    p.set_defaults(handler=cmd_j)
     p.add_argument("--tau", type=parse_complex, required=True)
 
     p = sub.add_parser("j-qexp", help="integer q-expansion of 1728 j")
+    p.set_defaults(handler=cmd_j_qexp)
     p.add_argument("--terms", type=int, required=True,
                    help=f"coefficients to print, 1 to {MAX_QEXP_TERMS}")
 
     p = sub.add_parser("hodge-check", help="Riemann relations at a filtration point")
+    p.set_defaults(handler=cmd_hodge_check)
     p.add_argument("--point-file", required=True,
                    help="JSON {\"tau\": ...} or {\"m\", \"h\", \"psi\", \"levels\"}")
 
     p = sub.add_parser("domain-dims", help="period domain dimensions for a type")
+    p.set_defaults(handler=cmd_domain_dims)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--hodge-numbers", required=True, help="comma-separated, e.g. 1,1")
 
     p = sub.add_parser("ks-count", help="effective parameter count for (n, d)")
+    p.set_defaults(handler=cmd_ks_count)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("poincare", help="period Poincare series of a functional")
+    p.set_defaults(handler=cmd_poincare)
     p.add_argument("--functional", choices=sorted(_FUNCTIONALS), required=True)
     p.add_argument("--t2", type=parse_complex, default=4.0 + 0j)
     p.add_argument("--t3", type=parse_complex, default=0j)
@@ -422,6 +391,7 @@ def build_parser():
     p.add_argument("--series-tol", type=float, default=1e-6)
 
     p = sub.add_parser("khodaya", help="period matrix of the four-coefficient family")
+    p.set_defaults(handler=cmd_khodaya)
     p.add_argument("--t0", type=parse_complex, required=True)
     p.add_argument("--t1", type=parse_complex, required=True)
     p.add_argument("--t2", type=parse_complex, required=True)
@@ -456,9 +426,13 @@ def _parse_sweep(text):
     return flag.lstrip("-").replace("-", "_"), np.linspace(lo, hi, count)
 
 
-def _run_sweep(args, handler):
+def _document(args):
+    return {"command": args.command, **args.handler(args)}
+
+
+def _run_sweep(args):
     attr, grid = _parse_sweep(args.sweep)
-    if not hasattr(args, attr) or attr in ("sweep", "output", "command"):
+    if not hasattr(args, attr) or attr in ("sweep", "output", "command", "handler"):
         raise ValidationError(f"cannot sweep over flag {attr!r}")
     original = getattr(args, attr)
     rows = []
@@ -467,7 +441,7 @@ def _run_sweep(args, handler):
         if isinstance(original, int) and not isinstance(original, bool):
             cast = int(round(value))
         setattr(args, attr, cast)
-        rows.append(_flatten(handler(args)))
+        rows.append(_flatten(_document(args)))
     columns = sorted(set().union(*[set(r) for r in rows]))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, restval="")
@@ -482,19 +456,15 @@ def main(argv=None):
     try:
         # parse_complex raises ValidationError from inside parse_args
         args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
+        args.tol = _resolve_tol(args)
         if args.sweep:
-            text = _run_sweep(args, handler)
+            text = _run_sweep(args)
         else:
-            text = json.dumps(handler(args), sort_keys=True, indent=2) + "\n"
-    except ValidationError as exc:
+            text = json.dumps(_document(args), sort_keys=True, indent=2) + "\n"
+    except (ValidationError, NumericalError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedType, ValidationError
 from .hodge import HodgeFiltration, HodgeType, projector
+from .numerics import exact_integers
 
 __all__ = [
     "HermitianCase",
@@ -189,6 +190,8 @@ def base_point(phi):
 
 def kodaira_spencer_count(n, d):
     """Effective parameter count for degree-d hypersurfaces in P^(n+1)."""
-    if n < 1 or d < 1:
+    n, d = (exact_integers(v, ValidationError, "n and d") for v in (n, d))
+    if n.ndim or d.ndim or n < 1 or d < 1:
         raise ValidationError("need n >= 1 and d >= 1")
+    n, d = int(n), int(d)
     return math.comb(n + 1 + d, d) - (n + 2) ** 2

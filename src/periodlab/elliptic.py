@@ -24,7 +24,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Number
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import ParamPath, _complete_rf_rd, _trimmed_roots
+from .numerics import ParamPath, _complete_rf_rd, _number, _trimmed_roots
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -55,16 +54,6 @@ DELTA_FLOOR = 1e-8
 
 BASE_T2 = 4.0 + 0.0j
 BASE_T3 = 0.0 + 0.0j
-
-
-def _number(name, value) -> complex:
-    """``value`` as a complex number, or ValidationError naming the field."""
-    if isinstance(value, Number):
-        try:
-            return complex(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +141,7 @@ def scale_action(lam: complex, t) -> WeierstrassPoint:
     lam^3 y)``, so the two period columns pick up factors ``lam**-1`` and
     ``lam`` respectively.
     """
-    lam = complex(lam)
+    lam = _number("lam", lam)
     if lam == 0:
         from .errors import ZeroLambda
         raise ZeroLambda("lam must be nonzero")
@@ -522,7 +511,7 @@ def tau_to_upper(tau: complex) -> complex:
     Negation preserves the lattice Z tau + Z, so a ratio below the real
     axis maps to ``-tau``.
     """
-    tau = complex(tau)
+    tau = _number("tau", tau)
     if tau.imag == 0:
         raise RealTau("tau must have nonzero imaginary part")
     return tau if tau.imag > 0 else -tau

@@ -44,6 +44,7 @@ from .numerics import (
     DEFAULT_TOL,
     LinearODESystem,
     ParamPath,
+    _number,
     integrate_linear_ode,
     nearest_integer_matrix,
 )
@@ -114,10 +115,10 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
         raise ValidationError("sides must be an integer of at least 3")
     if isinstance(turns, bool) or not isinstance(turns, (int, np.integer)) or turns == 0:
         raise ValidationError("turns must be a nonzero integer")
-    if not 0 < radius < np.inf:
+    radius = _number("radius", radius)
+    if radius.imag or not 0 < radius.real < np.inf:
         raise ValidationError("radius must be positive and finite")
-    t2 = complex(t2)
-    center = complex(center)
+    radius, t2, center = radius.real, _number("t2", t2), _number("center", center)
     n = sides * abs(turns)
     angles = 2.0 * np.pi * turns * np.arange(n + 1) / n
     t3 = center + radius * np.exp(1j * angles)

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
-from .numerics import exact_integers
+from .numerics import _integer_det, exact_integers
 from .poincare import is_in_gamma
 
 __all__ = [
@@ -128,7 +128,7 @@ class HodgeType:
             raise SizeMismatch(f"Psi must be {mu}x{mu} for h = {h}")
         if not np.array_equal(psi.T, (-1) ** m * psi):
             raise ValidationError("Psi fails the (-1)^m symmetry")
-        if abs(round(float(np.linalg.det(psi)))) == 0:
+        if _integer_det(psi) == 0:
             raise ValidationError("Psi is singular")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "h", h)
@@ -281,13 +281,15 @@ def verify_polarization(dec, tol=1e-10):
     ----------
     dec : HodgeDecomposition
     tol : float
-        Threshold for the vanishing statements, applied after the bases
-        are orthonormalized (so entries are O(|Psi|)).
+        Positive, finite threshold for the vanishing statements, applied
+        after the bases are orthonormalized (so entries are O(|Psi|)).
 
     Returns
     -------
     PolarizationReport
     """
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     phi = dec.phi
     m = phi.m
     scale = max(1.0, float(np.linalg.norm(phi.psi, 2)))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (NearCusp, NonConvergent, NumericalError, RealTau, UnsupportedType,
                      ValidationError)
+from .numerics import _number, exact_integers
 from .qseries import QSeries, _require_int, bernoulli, eisenstein_normalized
 
 __all__ = [
@@ -48,8 +49,10 @@ class Lattice:
     omega2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "omega1", complex(self.omega1))
-        object.__setattr__(self, "omega2", complex(self.omega2))
+        for name in ("omega1", "omega2"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if self.omega2 == 0:
+            raise ValidationError("lattice generator omega2 must be nonzero")
         ratio = self.omega1 / self.omega2
         if not np.isfinite(ratio) or ratio.imag <= 0:
             raise RealTau(f"lattice ratio {ratio} is not in the upper half-plane")
@@ -60,10 +63,10 @@ class Lattice:
 
     @staticmethod
     def from_tau(tau):
-        return Lattice(complex(tau), 1.0)
+        return Lattice(tau, 1.0)
 
     def scaled(self, mu):
-        mu = complex(mu)
+        mu = _number("mu", mu)
         if mu == 0:
             raise ValidationError("lattice scale factor must be nonzero")
         return Lattice(mu * self.omega1, mu * self.omega2)
@@ -115,8 +118,10 @@ def eisenstein_lattice(k, lat):
     of max(1, |sum|), near row 8 at k = 4. A sum that leaves the float
     range raises NumericalError.
     """
-    if k % 2 or k < 4:
+    k = exact_integers(k, ValidationError, "weight k")
+    if k.ndim or k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
+    k = int(k)
     if not isinstance(lat, Lattice):
         lat = Lattice(*lat)
     (a, b, c, d), _, _ = _reduce(lat.tau)
@@ -160,7 +165,7 @@ def _reduce(tau):
     drifts off the orbit near the real axis. NearCusp once |c| > 2^52 or
     gamma tau leaves the float range.
     """
-    tau = complex(tau)
+    tau = _number("tau", tau)
     if not (tau.imag > 0 and cmath.isfinite(tau)):
         raise RealTau(f"tau = {tau} not in the upper half-plane")
     a, b, c, d = 1, 0, 0, 1
@@ -193,8 +198,10 @@ def eisenstein_q(k, tau):
     sum_m (tau + m)^(-k) and the series keeps q^(2n) / (1 - q^n). A value
     outside the float range raises NearCusp.
     """
-    if k % 2 or k < 4:
+    k = exact_integers(k, ValidationError, "weight k")
+    if k.ndim or k % 2 or k < 4:
         raise UnsupportedType(f"q-expansion Eisenstein needs even weight >= 4, got {k}")
+    k = int(k)
     _, reduced, w = _reduce(tau)
     # |w| <= 1 and |E_k(gamma tau)| < 10, so only a large power can overflow
     if -k * math.log(abs(w)) > 700:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Number
 from typing import Callable
 
 import numpy as np
@@ -400,3 +401,27 @@ def exact_integers(values, error, what):
         if np.all((np.abs(real) <= 2.0 ** 53) & (real == np.round(real))):
             return real.astype(np.int64)
     raise error(f"{what} must have integer entries")
+
+
+def _integer_det(a):
+    """Exact determinant of a square integer array (Bareiss, in Python ints)."""
+    m, det, prev = a.tolist(), 1, 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot], det = m[pivot], m[k], det if pivot == k else -det
+        for i in range(k + 1, len(m)):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return det * prev
+
+
+def _number(name, value) -> complex:
+    """``value`` as a complex number, or ValidationError naming the field."""
+    if isinstance(value, Number):
+        try:
+            return complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")

@@ -11,7 +11,6 @@ sees, fails already on products of the two standard generators).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,23 +184,25 @@ def _complete_rows(pair, stabilizer):
     raise ValidationError(f"unknown stabilizer id {stabilizer!r}")
 
 
-@functools.lru_cache(maxsize=4)
-def _coset_table(stabilizer, height):
-    """Coset representatives of heights 1..height in shell order.
+_TABLES = {}  # stabilizer -> (table, ends) through the largest height asked for
 
-    Returns one read-only (N, 2, 2) int64 array and the end offset of each
-    height shell in it.
-    """
-    if height < 1:
+
+def _coset_table(stabilizer, height):
+    """Coset representatives of heights 1..height in shell order, as a read-only
+    (N, 2, 2) int64 prefix of the stabilizer's one table (a larger height
+    appends only its new shells), and the end offset of each height shell."""
+    height = exact_integers(height, ValidationError, "height")
+    if height.ndim or height < 1:
         raise ValidationError("height must be at least 1")
-    shells = [
-        np.array([_complete_rows(pair, stabilizer) for pair in _canonical_pairs(h)],
-                 dtype=np.int64)
-        for h in range(1, height + 1)
-    ]
-    table = np.concatenate(shells)
-    table.setflags(write=False)
-    return table, tuple(itertools.accumulate(map(len, shells)))
+    table, ends = _TABLES.get(stabilizer, (np.zeros((0, 2, 2), dtype=np.int64), ()))
+    if len(ends) < height:
+        shells = [np.array([_complete_rows(pair, stabilizer) for pair in _canonical_pairs(h)],
+                           dtype=np.int64) for h in range(len(ends) + 1, height + 1)]
+        ends += tuple(itertools.accumulate(map(len, shells), initial=len(table)))[1:]
+        table = np.concatenate([table, *shells])
+        table.setflags(write=False)
+        _TABLES[stabilizer] = table, ends
+    return table[:ends[height - 1]], ends[:height]
 
 
 def enumerate_cosets_sl2(stabilizer="upper", height=1):
@@ -297,7 +298,7 @@ def _shell_series(stabilizer, height, p, x, tol):
     each shell plus a tail estimate fitted to the shell decay.
     """
     table, ends = _coset_table(stabilizer, height)
-    heights = tuple(range(1, height + 1))
+    heights = tuple(range(1, len(ends) + 1))
     partials, sizes = [], []
     total = 0j
     for start, end in zip((0,) + ends, ends):

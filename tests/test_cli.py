@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from periodlab import elliptic, gaussmanin
-from periodlab.cli import MAX_QEXP_TERMS, main, parse_complex
+from periodlab.cli import MAX_QEXP_TERMS, build_parser, main, parse_complex
 from periodlab.domain import base_point, standard_type
 from periodlab.errors import ValidationError
 
@@ -122,6 +123,77 @@ class TestTolerancePlumbing:
         code, _, err = run(capsys, "tau", "--t2", "4", "--t3", "0")
         assert code == 2
         assert "PERIODLAB_TOL" in json.loads(err)["message"]
+
+    def test_bad_env_rejected_by_j(self, capsys, monkeypatch):
+        # j reads no tolerance, but main resolves it for every subcommand
+        monkeypatch.setenv("PERIODLAB_TOL", "soon")
+        code, out, err = run(capsys, "j", "--tau", "i")
+        assert (code, out) == (2, "")
+        assert "PERIODLAB_TOL" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_flag_must_be_positive_and_finite(self, capsys, tmp_path, tol):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"tau": [0.3, 1.1]}))
+        code, out, err = run(capsys, f"--tol={tol}", "hodge-check", "--point-file", str(point))
+        assert (code, out) == (2, "")
+        assert "--tol must be positive and finite" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("tol", ["-1e-6", "0", "nan", "inf"])
+    def test_env_must_be_positive_and_finite(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("PERIODLAB_TOL", tol)
+        code, out, err = run(capsys, "tau", "--t2", "4", "--t3", "0")
+        assert (code, out) == (2, "")
+        assert "PERIODLAB_TOL must be positive and finite" in json.loads(err)["message"]
+
+    def test_swept_tol_is_checked(self, capsys, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"tau": [0.3, 1.1]}))
+        code, out, err = run(capsys, "--sweep", "tol=-1:1:3", "hodge-check",
+                             "--point-file", str(point))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValidationError"
+
+
+# one successful call of every subcommand; {point} and {path} name files
+ENVELOPE_ARGV = {
+    "periods": ["--t2", "4", "--t3", "0"],
+    "tau": ["--t2", "4", "--t3", "0"],
+    "pf-transport": ["--path-file", "{path}"],
+    "monodromy": ["--t2", "4", "--center", "1.539600717839002", "--radius", "0.6"],
+    "eisenstein": ["--k", "4", "--tau", "i"],
+    "j": ["--tau", "i"],
+    "j-qexp": ["--terms", "3"],
+    "hodge-check": ["--point-file", "{point}"],
+    "domain-dims": ["--weight", "1", "--hodge-numbers", "1,1"],
+    "ks-count": ["--n", "2", "--d", "4"],
+    "poincare": ["--functional", "det", "--height", "2"],
+    "khodaya": ["--t0", "2", "--t1", "1", "--t2", "4", "--t3", "0"],
+}
+
+
+class TestEnvelope:
+    def test_every_subcommand_is_listed(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(ENVELOPE_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ENVELOPE_ARGV))
+    def test_success_names_its_command(self, capsys, tmp_path, command):
+        point, path = tmp_path / "point.json", tmp_path / "path.json"
+        point.write_text(json.dumps({"tau": [0.3, 1.1]}))
+        path.write_text(json.dumps([[[4, 0], [0, 0]], [[4, 0], [1, 0]]]))
+        argv = [a.format(point=point, path=path) for a in ENVELOPE_ARGV[command]]
+        assert run_json(capsys, command, *argv)["command"] == command
+
+    @pytest.mark.parametrize("argv,code", [
+        (["j", "--tau", "0.5"], 2),
+        (["periods", "--t2", "3", "--t3", "1"], 3),
+    ], ids=["exit2", "exit3"])
+    def test_error_is_error_and_message_only(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestModularCommands:
@@ -448,6 +520,7 @@ class TestSweepAndOutput:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
+        assert [r["command"] for r in rows] == ["periods"] * 3
         assert "matrix.0.0.0" in rows[0]
         assert "diagnostics.det_deviation" in rows[0]
         devs = [float(r["diagnostics.det_deviation"]) for r in rows]
@@ -462,6 +535,11 @@ class TestSweepAndOutput:
         code, _, _ = run(capsys, "--sweep", "bogus=0:1:3", "periods",
                          "--t2", "4", "--t3", "0")
         assert code == 2
+
+    def test_sweep_over_the_handler_exits_2(self, capsys):
+        code, _, err = run(capsys, "--sweep", "handler=0:1:2", "j", "--tau", "i")
+        assert code == 2
+        assert "handler" in json.loads(err)["message"]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

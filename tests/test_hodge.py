@@ -71,6 +71,14 @@ class TestHodgeType:
         assert (phi.m, phi.h) == (1, (1, 1))
         assert phi.psi.dtype == np.int64
 
+    def test_singularity_is_decided_exactly(self):
+        # det = -1, though the float determinant of these entries is 0.0
+        big = 10 ** 8
+        phi = HodgeType(2, (1, 0, 1), [[big + 1, big], [big, big - 1]])
+        assert phi.psi.tolist() == [[big + 1, big], [big, big - 1]]
+        with pytest.raises(ValidationError, match="singular"):
+            HodgeType(2, (1, 0, 1), [[big, big], [big, big]])
+
     def test_pairing(self):
         phi = HodgeType(1, (1, 1), PSI2)
         e1, e2 = np.eye(2)
@@ -90,6 +98,12 @@ class TestEllipticStructure:
             conj_dec = decomposition_from_filtration(conj_filt)
             report = verify_polarization(conj_dec)
             assert report.first and not report.second
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        _, filt = elliptic_hs(0.3 + 1.1j)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            verify_polarization(decomposition_from_filtration(filt), tol)
 
     def test_real_tau_refused(self):
         with pytest.raises(RealTau):

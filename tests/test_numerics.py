@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from periodlab.domain import kodaira_spencer_count
+from periodlab.elliptic import scale_action, tau_to_upper
 from periodlab.errors import (
     NonFiniteRHS,
     ClearanceViolation,
@@ -14,14 +16,18 @@ from periodlab.errors import (
     StepUnderflow,
     ValidationError,
 )
+from periodlab.gaussmanin import circle_loop
+from periodlab.modular import Lattice, eisenstein_lattice, eisenstein_q, j_normalized
 from periodlab.numerics import (
     LinearODESystem,
     _complete_rf_rd,
+    _integer_det,
     ParamPath,
     integrate_linear_ode,
     nearest_integer_matrix,
     quad_sqrt_singular,
 )
+from periodlab.poincare import period_poincare, poincare_series_uhp
 
 
 class TestParamPath:
@@ -207,6 +213,60 @@ class TestLinearODE:
         path = ParamPath([0.0, 1.0])
         with pytest.raises((StepUnderflow, NonConvergent, NonFiniteRHS)):
             integrate_linear_ode(system, path, np.eye(1), tol=1e-10)
+
+
+class TestIntegerDet:
+    def test_matches_the_float_determinant_on_small_entries(self):
+        rng = np.random.default_rng(11)
+        for n in range(6):
+            for trial in range(60):
+                a = rng.integers(-3, 4, size=(n, n))
+                if n > 1 and trial % 3 == 0:
+                    a[-1] = a[0]  # singular
+                if n > 1 and trial % 4 == 0:
+                    a[0, 0] = 0  # the first pivot needs a row swap
+                assert _integer_det(a) == (round(np.linalg.det(a)) if n else 1)
+
+    def test_exact_where_the_float_determinant_rounds(self):
+        big = 10 ** 8
+        assert _integer_det(np.array([[big + 1, big], [big, big - 1]])) == -1
+        assert _integer_det(np.array([[big, big], [big, big]])) == 0
+
+
+def _one(z):
+    return 1.0
+
+
+# scalar inputs that raised TypeError, ValueError or ZeroDivisionError
+SCALAR_INPUTS = {
+    "uhp-height-str": lambda: poincare_series_uhp(_one, 4, "3", 1j),
+    "uhp-height-bool": lambda: poincare_series_uhp(_one, 4, True, 1j),
+    "period-height-half": lambda: period_poincare(lambda x: x[0, 0] ** -4.0, np.eye(2),
+                                                  "lower", 2.5),
+    "lattice-zero": lambda: Lattice(1j, 0),
+    "lattice-str": lambda: Lattice("a", 1),
+    "j-str": lambda: j_normalized("x"),
+    "tau-to-upper-str": lambda: tau_to_upper("a"),
+    "scale-action-str": lambda: scale_action("a", (4, 0)),
+    "ks-count-half": lambda: kodaira_spencer_count(1.5, 3),
+    "ks-count-bool": lambda: kodaira_spencer_count(True, 3),
+    "loop-radius-str": lambda: circle_loop(4, 1.5, "a"),
+    "lattice-weight-str": lambda: eisenstein_lattice("4", Lattice.from_tau(1j)),
+    "q-weight-str": lambda: eisenstein_q("4", 1j),
+}
+
+
+class TestScalarInputs:
+    @pytest.mark.parametrize("call", SCALAR_INPUTS.values(), ids=SCALAR_INPUTS.keys())
+    def test_refused_with_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_integral_floats_answer(self):
+        lat = Lattice.from_tau(0.3 + 1.1j)
+        assert eisenstein_lattice(4.0, lat) == eisenstein_lattice(4, lat)
+        assert poincare_series_uhp(_one, 4, 2.0, 1j) == poincare_series_uhp(_one, 4, 2, 1j)
+        assert kodaira_spencer_count(2.0, 4.0) == kodaira_spencer_count(2, 4)
 
 
 class TestNearestInteger:

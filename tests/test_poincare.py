@@ -10,6 +10,7 @@ from periodlab.errors import (
     StabilizerMismatch,
     ValidationError,
 )
+from periodlab import poincare
 from periodlab.modular import Lattice, eisenstein_lattice, eisenstein_q
 from periodlab.poincare import (
     PSI2,
@@ -163,6 +164,21 @@ class TestCosetEnumeration:
             poincare_series_uhp(lambda z: 1.0, 4, 0, 0.3 + 1.1j)
         with pytest.raises(ValidationError):
             period_poincare(lambda x: x[0, 0] ** (-4), np.eye(2), "lower", 0)
+
+    def test_each_shell_is_built_once(self, monkeypatch):
+        # one table per stabilizer: a larger height appends its new shells and
+        # a smaller one reads a prefix, whatever order the heights come in
+        monkeypatch.setattr(poincare, "_TABLES", {})
+        built, pairs = [], poincare._canonical_pairs
+        monkeypatch.setattr(poincare, "_canonical_pairs", lambda h: built.append(h) or pairs(h))
+        for height in (10, 20, 30, 40, 50) * 2:
+            assert len(poincare_series_uhp(lambda z: 1.0, 4, height, 1j).heights) == height
+        assert sorted(built) == list(range(1, 51))
+        grown, grown_ends = poincare._coset_table("upper", 30)
+        monkeypatch.setattr(poincare, "_TABLES", {})
+        fresh, fresh_ends = poincare._coset_table("upper", 30)
+        assert np.array_equal(grown, fresh) and grown_ends == fresh_ends
+        assert not grown.flags.writeable
 
     def test_series_sum_over_bruteforce_classes(self, pm):
         # both series sum over the same table; pin it against the oracle
