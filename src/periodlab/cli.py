@@ -23,7 +23,7 @@ import numpy as np
 from . import domain as domain_mod
 from . import elliptic, gaussmanin, hodge, modular, poincare
 from .errors import NumericalError, ValidationError
-from .numerics import DEFAULT_TOL, ParamPath
+from .numerics import DEFAULT_TOL, ParamPath, _integer, _positive
 
 
 def parse_complex(text):
@@ -67,18 +67,15 @@ def _json_to_cmatrix(rows):
 
 
 def _resolve_tol(args):
-    tol, source = args.tol, "--tol"
-    if tol is None:
-        env, source = os.environ.get("PERIODLAB_TOL"), "PERIODLAB_TOL"
-        if not env:
-            return DEFAULT_TOL
-        try:
-            tol = float(env)
-        except ValueError:
-            raise ValidationError(f"PERIODLAB_TOL={env!r} is not a number") from None
-    if not 0 < tol < np.inf:
-        raise ValidationError(f"{source} must be positive and finite, got {tol}")
-    return tol
+    if args.tol is not None:
+        return _positive("--tol", args.tol)
+    env = os.environ.get("PERIODLAB_TOL")
+    if not env:
+        return DEFAULT_TOL
+    try:
+        return _positive("PERIODLAB_TOL", float(env))
+    except ValueError:
+        raise ValidationError(f"PERIODLAB_TOL={env!r} is not a number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +418,7 @@ def _parse_sweep(text):
     except ValueError:
         raise ValidationError(
             f"--sweep expects FLAG=START:STOP:COUNT, got {text!r}")
-    if count < 1:
-        raise ValidationError("sweep count must be at least 1")
+    count = _integer("sweep count", count, 1)
     return flag.lstrip("-").replace("-", "_"), np.linspace(lo, hi, count)
 
 

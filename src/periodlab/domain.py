@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedType, ValidationError
-from .hodge import HodgeFiltration, HodgeType, projector
-from .numerics import exact_integers
+from .hodge import HodgeFiltration, HodgeType, _hodge_numbers, projector
+from .numerics import _integer
 
 __all__ = [
     "HermitianCase",
@@ -45,9 +45,8 @@ def classify_hermitian(m, h):
     {a, a+1}. Case2: even weight m = 2a with support in {a-1, a, a+1}
     and h^{a+1,a-1} at most 1. Everything else is No.
     """
-    h = tuple(int(x) for x in h)
-    if len(h) != m + 1 or h != h[::-1]:
-        raise ValidationError(f"h = {h} is not a palindromic length-{m + 1} sequence")
+    m = _integer("weight m", m, 0)
+    h = _hodge_numbers(h, m)
     support = {m - q for q, val in enumerate(h) if val}
     if m % 2:
         a = (m - 1) // 2
@@ -149,7 +148,7 @@ def standard_type(m, h):
     Psi is the standard symplectic form for h = (g,g) and h = (1,1,1,1),
     and diag(+1 x k, -1, -1) for h = (1,k,1).
     """
-    h = tuple(h)
+    m, h = _integer("weight m", m), _hodge_numbers(h)
     if m == 1 and len(h) == 2 and h[0] == h[1]:
         return HodgeType(1, h, _siegel_psi(h[0]))
     if m == 2 and len(h) == 3 and h[0] == h[2] == 1:
@@ -190,8 +189,5 @@ def base_point(phi):
 
 def kodaira_spencer_count(n, d):
     """Effective parameter count for degree-d hypersurfaces in P^(n+1)."""
-    n, d = (exact_integers(v, ValidationError, "n and d") for v in (n, d))
-    if n.ndim or d.ndim or n < 1 or d < 1:
-        raise ValidationError("need n >= 1 and d >= 1")
-    n, d = int(n), int(d)
+    n, d = _integer("n", n, 1), _integer("d", d, 1)
     return math.comb(n + 1 + d, d) - (n + 2) ** 2

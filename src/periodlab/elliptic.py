@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import ParamPath, _complete_rf_rd, _number, _trimmed_roots
+from .numerics import ParamPath, _complete_rf_rd, _number, _positive, _trimmed_roots
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -265,7 +265,7 @@ class PeriodMatrix2:
         return complex(self.entries[0, 0]), complex(self.entries[1, 0])
 
     def validate(self, tol: float = 1e-6) -> None:
-        det = self.det
+        det, tol = self.det, _positive("tol", tol)
         target = SIGMA * TWO_PI_I
         scale = 1.0 + float(np.abs(self.entries).max()) ** 2
         if abs(det - target) > tol * scale:

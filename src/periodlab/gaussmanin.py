@@ -44,7 +44,10 @@ from .numerics import (
     DEFAULT_TOL,
     LinearODESystem,
     ParamPath,
+    _float_range,
+    _integer,
     _number,
+    _positive,
     integrate_linear_ode,
     nearest_integer_matrix,
 )
@@ -54,19 +57,17 @@ INTEGRALITY_TOL = 1e-4
 
 def connection_matrix(t, v) -> np.ndarray:
     """Connection contracted with the direction ``v = (v2, v3)``."""
-    p = elliptic.as_weierstrass(t)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (2,):
-        raise ValidationError("direction must have two components")
+    p, (v2, v3) = elliptic.as_weierstrass(t), elliptic._pair(v)
     delta_big = elliptic.discriminant(p)
     if abs(delta_big) < 1e-12 * elliptic._delta_scale(p):
         raise NearDiscriminant("connection pole: discriminant vanishes")
-    d_delta = 3.0 * p.t2 ** 2 * v[0] - 54.0 * p.t3 * v[1]
-    delta_small = 3.0 * p.t3 * v[0] - 2.0 * p.t2 * v[1]
-    return np.array(
-        [[-d_delta / 12.0, -1.5 * delta_small],
-         [(p.t2 / 8.0) * delta_small, d_delta / 12.0]],
-        dtype=np.complex128) / delta_big
+    with _float_range("the connection along this direction"):
+        d_delta = 3.0 * p.t2 ** 2 * v2 - 54.0 * p.t3 * v3
+        delta_small = 3.0 * p.t3 * v2 - 2.0 * p.t2 * v3
+        return np.array(
+            [[-d_delta / 12.0, -1.5 * delta_small],
+             [(p.t2 / 8.0) * delta_small, d_delta / 12.0]],
+            dtype=np.complex128) / delta_big
 
 
 def gm_system() -> LinearODESystem:
@@ -96,10 +97,7 @@ def transport(path: ParamPath, basepoint_periods, tol: float = DEFAULT_TOL) -> e
     the path start; the result is the period matrix at the path end in the
     continued basis.
     """
-    if isinstance(basepoint_periods, elliptic.PeriodMatrix2):
-        start = basepoint_periods.entries
-    else:
-        start = np.asarray(basepoint_periods, dtype=np.complex128)
+    start = getattr(basepoint_periods, "entries", basepoint_periods)
     return elliptic.PeriodMatrix2(transport_entries(path, start, tol))
 
 
@@ -111,14 +109,10 @@ def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPat
     by a ``sides``-gon per turn (an integer of at least 3), starting and
     ending at ``center + radius``.
     """
-    if isinstance(sides, bool) or not isinstance(sides, (int, np.integer)) or sides < 3:
-        raise ValidationError("sides must be an integer of at least 3")
-    if isinstance(turns, bool) or not isinstance(turns, (int, np.integer)) or turns == 0:
+    sides, turns = _integer("sides", sides, 3), _integer("turns", turns)
+    if not turns:
         raise ValidationError("turns must be a nonzero integer")
-    radius = _number("radius", radius)
-    if radius.imag or not 0 < radius.real < np.inf:
-        raise ValidationError("radius must be positive and finite")
-    radius, t2, center = radius.real, _number("t2", t2), _number("center", center)
+    radius, t2, center = _positive("radius", radius), _number("t2", t2), _number("center", center)
     n = sides * abs(turns)
     angles = 2.0 * np.pi * turns * np.arange(n + 1) / n
     t3 = center + radius * np.exp(1j * angles)
@@ -175,10 +169,7 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     start = tuple(loop.start)
     if basepoint_periods is None:
         basepoint_periods = elliptic.period_matrix(start)
-    if isinstance(basepoint_periods, elliptic.PeriodMatrix2):
-        P0 = basepoint_periods.entries
-    else:
-        P0 = np.asarray(basepoint_periods, dtype=np.complex128)
+    P0 = np.asarray(getattr(basepoint_periods, "entries", basepoint_periods), dtype=complex)
     if P0.shape != (2, 2) or not np.all(np.isfinite(P0)) or np.linalg.det(P0) == 0:
         raise ValidationError("basepoint periods must be a finite invertible 2x2 matrix")
     Q0 = np.array(elliptic._carlson_matrix(start))

@@ -14,6 +14,7 @@ The group check of ``group_element_action`` is ``poincare.is_in_gamma``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
 )
-from .numerics import _integer_det, exact_integers
+from .numerics import _integer, _integer_det, _number, _positive, exact_integers
 from .poincare import is_in_gamma
 
 __all__ = [
@@ -103,6 +104,18 @@ def intersect_subspaces(a, b):
     return orthonormal_columns(a @ null[: a.shape[1]], "intersection")
 
 
+def _hodge_numbers(h, m=None):
+    """``h`` as a tuple of nonnegative ints; given the weight m, a palindromic
+    one of m + 1 entries."""
+    h = exact_integers(h, ValidationError, "Hodge numbers")
+    if h.ndim != 1 or np.any(h < 0) or m is not None and len(h) != m + 1:
+        raise SizeMismatch(f"h must list {'' if m is None else f'{m + 1} '}nonnegative integers")
+    h = tuple(h.tolist())
+    if m is not None and h != h[::-1]:
+        raise ValidationError(f"Hodge numbers {h} are not palindromic")
+    return h
+
+
 @dataclass(frozen=True)
 class HodgeType:
     """Type (m, h, Psi) of a polarized Hodge structure."""
@@ -112,16 +125,8 @@ class HodgeType:
     psi: np.ndarray
 
     def __post_init__(self):
-        m = exact_integers(self.m, ValidationError, "weight m")
-        if m.ndim or m < 1:
-            raise ValidationError("weight m must be a positive integer")
-        m = int(m)
-        h = exact_integers(self.h, ValidationError, "Hodge numbers")
-        if h.shape != (m + 1,) or np.any(h < 0):
-            raise SizeMismatch(f"h must list {m + 1} nonnegative integers")
-        h = tuple(int(x) for x in h)
-        if h != h[::-1]:
-            raise ValidationError(f"Hodge numbers {h} are not palindromic")
+        m = _integer("weight m", self.m, 1)
+        h = _hodge_numbers(self.h, m)
         psi = exact_integers(self.psi, ValidationError, "Psi")
         mu = sum(h)
         if psi.shape != (mu, mu):
@@ -139,14 +144,9 @@ class HodgeType:
     def mu(self):
         return sum(self.h)
 
-    def hodge_number(self, p, q):
-        if p + q != self.m or not 0 <= q <= self.m:
-            return 0
-        return self.h[q]
-
     def filtration_dim(self, i):
         """dim F^i = sum of h^{p, m-p} over p >= i."""
-        return sum(self.h[q] for q in range(self.m - i + 1))
+        return sum(self.h[:max(self.m - _integer("level i", i) + 1, 0)])
 
     def pairing(self, a, b):
         """The bilinear form psi(a, b) = a^T Psi b (no conjugation)."""
@@ -178,6 +178,7 @@ class HodgeFiltration:
         return HodgeFiltration(phi, (full,) + tuple(upper_levels))
 
     def level(self, i):
+        i = _integer("level i", i)
         if not 0 <= i <= self.phi.m:
             raise SizeMismatch(f"filtration level {i} outside 0..{self.phi.m}")
         return self.levels[i]
@@ -206,6 +207,7 @@ class HodgeDecomposition:
         object.__setattr__(self, "pieces", tuple(cleaned))
 
     def piece(self, p, q):
+        p, q = _integer("p", p), _integer("q", q)
         if p + q != self.phi.m or not 0 <= q <= self.phi.m:
             raise SizeMismatch(f"no piece ({p},{q}) in weight {self.phi.m}")
         return self.pieces[q]
@@ -288,9 +290,7 @@ def verify_polarization(dec, tol=1e-10):
     -------
     PolarizationReport
     """
-    if not 0 < tol < np.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    phi = dec.phi
+    tol, phi = _positive("tol", tol), dec.phi
     m = phi.m
     scale = max(1.0, float(np.linalg.norm(phi.psi, 2)))
     max_cross = 0.0
@@ -338,9 +338,9 @@ def elliptic_hs(tau):
     clause, which is the operative content of the upper-half-plane
     condition.
     """
-    tau = complex(tau)
-    if tau.imag == 0:
-        raise RealTau(f"tau = {tau} is real; the line F^1 would meet its conjugate")
+    tau = _number("tau", tau)
+    if not (tau.imag and cmath.isfinite(tau)):
+        raise RealTau(f"tau = {tau} is real or not finite")
     phi = HodgeType(1, (1, 1), np.array([[0, 1], [-1, 0]]))
     line = np.array([[tau], [1.0]], dtype=complex)
     return phi, HodgeFiltration.from_levels(phi, (line,))

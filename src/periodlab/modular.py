@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NearCusp, NonConvergent, NumericalError, RealTau, UnsupportedType,
-                     ValidationError)
-from .numerics import _number, exact_integers
-from .qseries import QSeries, _require_int, bernoulli, eisenstein_normalized
+from .errors import NearCusp, NonConvergent, RealTau, UnsupportedType, ValidationError
+from .numerics import _float_range, _integer, _number, _positive
+from .qseries import QSeries, bernoulli, eisenstein_normalized
 
 __all__ = [
     "G6_SIGN",
@@ -118,28 +117,24 @@ def eisenstein_lattice(k, lat):
     of max(1, |sum|), near row 8 at k = 4. A sum that leaves the float
     range raises NumericalError.
     """
-    k = exact_integers(k, ValidationError, "weight k")
-    if k.ndim or k % 2 or k < 4:
+    k = _integer("weight k", k)
+    if k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
-    k = int(k)
     if not isinstance(lat, Lattice):
         lat = Lattice(*lat)
     (a, b, c, d), _, _ = _reduce(lat.tau)
-    try:
+    with _float_range(f"E_{k} of this lattice"):
         w2 = _combine(c, lat.omega1, d, lat.omega2)
         tau = _combine(a, lat.omega1, b, lat.omega2) / w2
         total = 2.0 * _riemann_zeta(k)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for m in range(1, _MAX_ROWS + 1):
-                row = 2.0 * _row_sum(k, m * tau)
-                total += row
-                if abs(row) <= 1e-17 * max(1.0, abs(total)):
-                    # |total| < 10, so only a large power of 1/w2 can overflow
-                    if -k * math.log(abs(w2)) > 700:
-                        raise OverflowError
-                    return complex(total * (1.0 / w2) ** k)
-    except (FloatingPointError, OverflowError):
-        raise NumericalError(f"E_{k} of this lattice is outside the float range") from None
+        for m in range(1, _MAX_ROWS + 1):
+            row = 2.0 * _row_sum(k, m * tau)
+            total += row
+            if abs(row) <= 1e-17 * max(1.0, abs(total)):
+                # |total| < 10, so only a large power of 1/w2 can overflow
+                if -k * math.log(abs(w2)) > 700:
+                    raise OverflowError
+                return complex(total * (1.0 / w2) ** k)
     raise NonConvergent(f"lattice sum for E_{k} did not settle within {_MAX_ROWS} rows")
 
 
@@ -198,10 +193,9 @@ def eisenstein_q(k, tau):
     sum_m (tau + m)^(-k) and the series keeps q^(2n) / (1 - q^n). A value
     outside the float range raises NearCusp.
     """
-    k = exact_integers(k, ValidationError, "weight k")
-    if k.ndim or k % 2 or k < 4:
+    k = _integer("weight k", k)
+    if k % 2 or k < 4:
         raise UnsupportedType(f"q-expansion Eisenstein needs even weight >= 4, got {k}")
-    k = int(k)
     _, reduced, w = _reduce(tau)
     # |w| <= 1 and |E_k(gamma tau)| < 10, so only a large power can overflow
     if -k * math.log(abs(w)) > 700:
@@ -264,7 +258,7 @@ def j_q_expansion(n_terms):
     integer recurrence c_k = (E4^3)_k - sum_{i=1..k} Delta_{i+1} c_{k-i}
     for the coefficient c_k of q^(k-1).
     """
-    n_terms = _require_int(n_terms, "n_terms", 1)
+    n_terms = _integer("n_terms", n_terms, 1)
     e4 = eisenstein_normalized(4, n_terms + 1).coeffs
     e6 = eisenstein_normalized(6, n_terms + 1).coeffs
     e4_cubed = _product(_product(e4, e4), e4)
@@ -293,7 +287,8 @@ def full_modular_weight_check(f, k, samples=12, tol=1e-8, seed=0):
     The exponent is the one forced by the lattice-sum definition; see the
     module docstring for the convention note.
     """
-    rng = np.random.default_rng(seed)
+    k, samples = _integer("weight k", k), _integer("samples", samples, 1)
+    tol, rng = _positive("tol", tol), np.random.default_rng(_integer("seed", seed, 0))
     worst = 0.0
     for _ in range(samples):
         tau = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(0.8, 2.0)
@@ -301,6 +296,7 @@ def full_modular_weight_check(f, k, samples=12, tol=1e-8, seed=0):
         mu = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0))
         base = f(lat)
         scaled = f(lat.scaled(mu))
-        rel = abs(scaled - mu ** (-k) * base) / max(abs(base), 1e-300)
+        with _float_range(f"mu^-{k}"):
+            rel = abs(scaled - mu ** (-k) * base) / max(abs(base), 1e-300)
         worst = max(worst, rel)
     return WeightCheckReport(weight=k, samples=samples, max_rel_deviation=worst, tol=tol)

@@ -3,7 +3,8 @@
 All scalars are complex128; tolerances are absolute distances in the complex
 plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
-in parallel. ``exact_integers`` is the one check that input is integral.
+in parallel. ``_number`` (a ``numbers.Number``), ``_integer`` (4.0 is 4, True is refused)
+and ``_positive`` (positive and finite) read every scalar argument of the public API.
 
 ``ParamPath`` certifies a path against a discriminant hook that is a
 polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from numbers import Number
 from typing import Callable
@@ -36,6 +38,7 @@ from .errors import (
     ClearanceViolation,
     NonConvergent,
     NonFiniteRHS,
+    NumericalError,
     StepUnderflow,
     ValidationError,
 )
@@ -242,8 +245,8 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
     Y = np.array(Y0, dtype=np.complex128)
     if Y.shape != (mu, mu):
         raise ValidationError(f"Y0 must be {mu}x{mu}")
-    if not tol > 0.0:
-        raise ValidationError("tol must be positive")
+    tol = _positive("tol", tol)
+    max_step = None if max_step is None else _positive("max_step", max_step)
 
     h_floor = 256.0 * _EPS
     budget = _MAX_STEPS
@@ -305,13 +308,11 @@ def quad_sqrt_singular(integrand: Callable[[complex], complex], a, b,
     Nodes are strictly interior, so the integrand is never evaluated at the
     endpoints.
     """
-    a = complex(a)
-    b = complex(b)
+    a, b, tol = _number("a", a), _number("b", b), _positive("tol", tol)
+    max_nodes = _integer("max_nodes", max_nodes)
     d = b - a
     if d == 0:
         raise ValidationError("quadrature endpoints coincide")
-    if not tol > 0.0:
-        raise ValidationError("tol must be positive")
 
     previous = None
     n = 16
@@ -377,7 +378,7 @@ def nearest_integer_matrix(M, tol: float):
     Raises ``NonConvergent`` when the deviation exceeds ``tol``; callers that
     want a more specific error catch and rethrow.
     """
-    M = np.asarray(M, dtype=np.complex128)
+    M, tol = np.asarray(M, dtype=np.complex128), _positive("tol", tol)
     N = np.round(M.real).astype(np.int64)
     deviation = float(np.max(np.abs(M - N)))
     if deviation > tol:
@@ -394,7 +395,7 @@ def exact_integers(values, error, what):
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         arr = np.array(None)
-    if arr.dtype.kind in "iu":
+    if arr.dtype.kind == "i" or arr.dtype.kind == "u" and np.all(arr < 2 ** 63):  # no wrap
         return arr.astype(np.int64, copy=False)
     if arr.dtype.kind in "fc" and np.all(np.isfinite(arr)) and not np.any(arr.imag):
         real = arr.real
@@ -425,3 +426,31 @@ def _number(name, value) -> complex:
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(name, value, low=-math.inf) -> int:
+    """``value`` as an int >= ``low`` by the rule of ``exact_integers``, else ValidationError."""
+    with suppress(ValidationError):
+        n = exact_integers(value, ValidationError, name)
+        if not n.ndim and n >= low:
+            return int(n)
+    bound = f" >= {low}" if low > -math.inf else ""
+    raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _positive(name, value) -> float:
+    """``value`` as a positive finite float, or ValidationError naming the field."""
+    z = _number(name, value)
+    if z.imag or not 0.0 < z.real < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return z.real
+
+
+@contextmanager
+def _float_range(what):
+    """NumericalError where the block overflows, divides by zero or makes a nan."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
+        raise NumericalError(f"{what} is outside the float range") from None

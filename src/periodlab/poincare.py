@@ -11,6 +11,7 @@ sees, fails already on products of the two standard generators).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .errors import (
     StabilizerMismatch,
     ValidationError,
 )
-from .numerics import exact_integers
+from .numerics import (_float_range, _integer, _integer_det, _number, _positive,
+                       exact_integers)
 
 __all__ = [
     "PSI2",
@@ -86,18 +88,13 @@ class GroupElement:
         return NotImplemented
 
     def inverse(self):
-        n = self.entries.shape[0]
-        if n == 2:
-            a, b, c, d = self.entries.flatten().tolist()
-            det = a * d - b * c
-            if det not in (1, -1):
-                raise NotInGroup("determinant is not a unit")
-            inv = [[det * d, -det * b], [-det * c, det * a]]
-            return GroupElement(_int64_entries(inv, "the inverse"), self.psi)
-        inv = np.round(np.linalg.inv(self.entries)).astype(np.int64)
-        if not np.array_equal(self.entries.astype(object) @ inv.astype(object), np.eye(n)):
-            raise NotInGroup("no integer inverse")
-        return GroupElement(inv, self.psi)
+        """A^-1 = det(A) adj(A), exact in Python integers (det A = +-1 in the group)."""
+        a, n, det = self.entries, len(self.entries), _integer_det(self.entries)
+        if det not in (1, -1):
+            raise NotInGroup("determinant is not a unit")
+        inv = [[det * (-1) ** (i + j) * _integer_det(np.delete(np.delete(a, j, 0), i, 1))
+                for j in range(n)] for i in range(n)]
+        return GroupElement(_int64_entries(inv, "the inverse"), self.psi)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and np.array_equal(
@@ -191,9 +188,7 @@ def _coset_table(stabilizer, height):
     """Coset representatives of heights 1..height in shell order, as a read-only
     (N, 2, 2) int64 prefix of the stabilizer's one table (a larger height
     appends only its new shells), and the end offset of each height shell."""
-    height = exact_integers(height, ValidationError, "height")
-    if height.ndim or height < 1:
-        raise ValidationError("height must be at least 1")
+    height = _integer("height", height, 1)
     table, ends = _TABLES.get(stabilizer, (np.zeros((0, 2, 2), dtype=np.int64), ()))
     if len(ends) < height:
         shells = [np.array([_complete_rows(pair, stabilizer) for pair in _canonical_pairs(h)],
@@ -251,7 +246,8 @@ def cocycle_check(factor, samples=100, tol=1e-12, seed=0):
     (apply B, then A); a factor violating it, such as a nontrivial
     constant, comes back False.
     """
-    rng = np.random.default_rng(seed)
+    samples, tol = _integer("samples", samples, 1), _positive("tol", tol)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     for _ in range(samples):
         z = rng.uniform(-2, 2) + 1j * rng.uniform(0.2, 3.0)
         a = _random_sl2(rng)
@@ -266,10 +262,11 @@ def cocycle_check(factor, samples=100, tol=1e-12, seed=0):
 
 def slash(f, n, a):
     """The weight-n slash: (f |_n A)(x) = (cx + d)^(-n) f(A x)."""
-    a = exact_integers(a, NotInGroup, "group elements")
+    n, a = _integer("weight n", n), exact_integers(a, NotInGroup, "group elements")
 
     def transformed(z):
-        return classical_factor(z, a) ** (-n) * f(moebius(a, z))
+        with _float_range(f"the weight-{n} slash"):
+            return classical_factor(z, a) ** (-n) * f(moebius(a, z))
 
     return transformed
 
@@ -295,17 +292,19 @@ def _shell_series(stabilizer, height, p, x, tol):
 
     Each shell of representatives moves x by one stacked matrix product and
     p is called once per coset; the report carries the partial sum after
-    each shell plus a tail estimate fitted to the shell decay.
+    each shell plus a tail estimate fitted to the shell decay. A sum that
+    leaves the float range raises NumericalError.
     """
     table, ends = _coset_table(stabilizer, height)
     heights = tuple(range(1, len(ends) + 1))
     partials, sizes = [], []
     total = 0j
-    for start, end in zip((0,) + ends, ends):
-        shell = sum(map(p, table[start:end] @ x), 0j)
-        total += shell
-        partials.append(total)
-        sizes.append(abs(shell))
+    with _float_range("the Poincare series"):
+        for start, end in zip((0,) + ends, ends):
+            shell = sum(map(p, table[start:end] @ x), 0j)
+            total += shell
+            partials.append(total)
+            sizes.append(abs(shell))
     tail = _shell_tail(heights, sizes)
     settled = len(partials) >= 2 and abs(partials[-1] - partials[-2]) <= tol and tail <= tol
     return PartialSumsReport(heights=heights, partial_sums=tuple(partials), tail_estimate=tail,
@@ -319,9 +318,9 @@ def poincare_series_uhp(f, n, height, tau, tol=1e-6):
     column (tau, 1), summed over the cosets of the upper-triangular
     stabilizer (see ``_shell_series``).
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValidationError("tau must lie in the upper half-plane")
+    n, tau, tol = _integer("weight n", n), _number("tau", tau), _positive("tol", tol)
+    if not (tau.imag > 0 and cmath.isfinite(tau)):
+        raise ValidationError(f"tau must be a finite point of the upper half-plane, got {tau}")
 
     def p(y):
         return y[1, 0] ** (-n) * f(y[0, 0] / y[1, 0])
@@ -364,7 +363,8 @@ def period_poincare(p, pm, stabilizer="lower", height=50, tol=1e-6, seed=0):
     a functional that is not invariant under it raises StabilizerMismatch
     rather than silently producing an order-dependent number.
     """
-    rng = np.random.default_rng(seed)
+    height, tol = _integer("height", height, 1), _positive("tol", tol)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     _check_stabilizer(p, stabilizer, rng)
     x = np.asarray(pm.entries if hasattr(pm, "entries") else pm, dtype=complex)
     if x.shape != (2, 2):
@@ -398,15 +398,13 @@ def mean_value_diagnostic(f, center, radius, grid=64):
     sub-mean-value property); the report just presents both numbers from
     a midpoint polar quadrature.
     """
-    center = complex(center)
-    radius = float(radius)
-    if radius <= 0 or grid < 2:
-        raise ValidationError("need a positive radius and at least a 2-point grid")
+    center, radius = _number("center", center), _positive("radius", radius)
+    grid = _integer("grid", grid, 2)
     r = (np.arange(grid) + 0.5) * (radius / grid)
     theta = (np.arange(2 * grid) + 0.5) * (2 * np.pi / (2 * grid))
     rr, tt = np.meshgrid(r, theta, indexing="ij")
-    pts = center + rr * np.exp(1j * tt)
-    vals = np.abs(np.vectorize(f)(pts)) ** 2
-    integral = float(np.sum(vals * rr) * (radius / grid) * (np.pi / grid))
-    area = np.pi * radius ** 2
-    return MeanValueReport(lhs=abs(f(center)) ** 2, rhs=integral / area)
+    with _float_range("the disk average"):
+        pts = center + rr * np.exp(1j * tt)
+        vals = np.abs(np.vectorize(f)(pts)) ** 2
+        integral = float(np.sum(vals * rr) * (radius / grid) * (np.pi / grid))
+        return MeanValueReport(lhs=abs(f(center)) ** 2, rhs=integral / (np.pi * radius ** 2))

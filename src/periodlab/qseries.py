@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 from .errors import ValidationError
+from .numerics import _integer
 
 __all__ = ["QSeries", "bernoulli", "sigma_series", "eisenstein_normalized"]
 
@@ -38,6 +38,7 @@ class QSeries:
 
     def coefficient(self, n):
         """Coefficient of q^n; raises if n is beyond the known range."""
+        n = _integer("exponent n", n)
         if n >= self.order:
             raise ValidationError(
                 f"coefficient of q^{n} not determined at truncation order {self.order}"
@@ -47,16 +48,9 @@ class QSeries:
         return self.coeffs[n - self.low]
 
 
-def _require_int(value, name, low):
-    """`value` as an int >= low (bools refused), else ValidationError naming it."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def bernoulli(n):
     """Bernoulli number B_n (B_1 = +1/2 convention) as an exact Fraction."""
-    n = _require_int(n, "Bernoulli index", 0)
+    n = _integer("Bernoulli index", n, 0)
     b = [Fraction(0)] * (n + 1)
     for m in range(n + 1):
         b[m] = Fraction(1, m + 1)
@@ -67,8 +61,7 @@ def bernoulli(n):
 
 def sigma_series(power, n_terms):
     """sum_{n>=1} sigma_power(n) q^n with exact integer coefficients."""
-    power = _require_int(power, "power", 0)
-    n_terms = _require_int(n_terms, "n_terms", 1)
+    power, n_terms = _integer("power", power, 0), _integer("n_terms", n_terms, 1)
     coeffs = [0] * (n_terms - 1)  # exponent n stored at index n-1
     for d in range(1, n_terms):
         dp = d ** power
@@ -82,7 +75,8 @@ def eisenstein_normalized(k, n_terms):
 
     For k = 4 the multiplier is +240, for k = 6 it is -504.
     """
-    if _require_int(k, "weight", 2) % 2:
+    k = _integer("weight", k, 2)
+    if k % 2:
         raise ValidationError("normalized Eisenstein series needs even weight >= 2")
     mult = -Fraction(2 * k) / bernoulli(k)
     if mult.denominator == 1:

@@ -106,6 +106,27 @@ class TestGroupElement:
         assert big.inverse().entries.tolist() == [[2**20, -1], [1 - 2**60, 2**40]]
         assert (big @ big.inverse()).entries.tolist() == [[1, 0], [0, 1]]
 
+    def test_siegel_inverse_is_exact(self):
+        # a float inverse rounds 2^60 + 1 away and finds no integer inverse
+        i2, z2 = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+        b = np.array([[2**60 + 1, 3], [3, 5]])
+        psi = np.block([[z2, i2], [-i2, z2]])
+        a = GroupElement(np.block([[i2, b], [z2, i2]]), psi)
+        assert a.inverse().entries.tolist() == np.block([[i2, -b], [z2, i2]]).tolist()
+        assert (a @ a.inverse()).entries.tolist() == np.eye(4, dtype=int).tolist()
+
+    @pytest.mark.parametrize("entries,psi", [
+        ([[2**40, 1], [2**60 - 1, 2**20]], PSI2),
+        ([[3, 2, 2], [2, 1, 2], [2, 2, 1]], np.diag([1, -1, -1])),
+        ([[3, -2, 2], [2, -1, 2], [-2, 2, -1]], np.diag([1, -1, -1])),
+        ([[1, 3], [0, 1]], 2 * PSI2),
+    ], ids=["big", "weight-2", "weight-2-det-minus-1", "twice-psi2"])
+    def test_inverse_is_a_two_sided_inverse(self, entries, psi):
+        a = GroupElement(entries, psi)
+        eye = np.eye(len(entries), dtype=int).tolist()
+        assert (a @ a.inverse()).entries.tolist() == eye
+        assert (a.inverse() @ a).entries.tolist() == eye
+
     def test_rejects_outsiders(self):
         with pytest.raises(NotInGroup):
             GroupElement(np.array([[2, 0], [0, 1]]), PSI2)
