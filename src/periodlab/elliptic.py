@@ -64,9 +64,10 @@ class WeierstrassPoint:
     t3: complex
 
     def __post_init__(self):
-        if type(self.t2) is not complex or type(self.t3) is not complex:  # complex needs no check
-            object.__setattr__(self, "t2", _number("t2", self.t2))
-            object.__setattr__(self, "t3", _number("t3", self.t3))
+        t2, t3 = self.t2, self.t3
+        if not (type(t2) is type(t3) is complex and cmath.isfinite(t2) and cmath.isfinite(t3)):
+            object.__setattr__(self, "t2", _number("t2", t2))
+            object.__setattr__(self, "t3", _number("t3", t3))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t2, self.t3], dtype=np.complex128)
@@ -119,9 +120,12 @@ def as_weierstrass(t) -> WeierstrassPoint:
 
 
 def discriminant(t) -> complex:
-    """``t2**3 - 27 t3**2``; zero exactly on the singular members."""
+    """``t2**3 - 27 t3**2``, zero exactly on the singular members; finite or NumericalError."""
     t2, t3 = _pair(t)
-    return t2 ** 3 - 27.0 * t3 ** 2
+    d = t2 * t2 * t2 - 27.0 * (t3 * t3)  # bitwise the powers, but inf where they raise
+    if not cmath.isfinite(d):
+        raise NumericalError(f"the discriminant at t=({t2}, {t3}) is outside the float range")
+    return d
 
 
 def _delta_scale(p: WeierstrassPoint) -> float:
@@ -129,9 +133,12 @@ def _delta_scale(p: WeierstrassPoint) -> float:
 
 
 def _require_away_from_discriminant(p: WeierstrassPoint) -> None:
-    if abs(discriminant(p)) < DELTA_FLOOR * _delta_scale(p):
-        raise NearDiscriminant(
-            f"discriminant {discriminant(p):.3e} too small at t=({p.t2}, {p.t3})")
+    d = discriminant(p)
+    try:
+        if abs(d) < DELTA_FLOOR * _delta_scale(p):
+            raise NearDiscriminant(f"discriminant {d:.3e} too small at t=({p.t2}, {p.t3})")
+    except OverflowError:  # |d| or |t2|^3 past the float range while d is finite
+        raise NumericalError(f"t=({p.t2}, {p.t3}) is outside the float range") from None
 
 
 def scale_action(lam: complex, t) -> WeierstrassPoint:
@@ -146,7 +153,10 @@ def scale_action(lam: complex, t) -> WeierstrassPoint:
         from .errors import ZeroLambda
         raise ZeroLambda("lam must be nonzero")
     p = as_weierstrass(t)
-    return WeierstrassPoint(lam ** 4 * p.t2, lam ** 6 * p.t3)
+    try:
+        return WeierstrassPoint(lam ** 4 * p.t2, lam ** 6 * p.t3)
+    except (OverflowError, ValidationError):  # a power or a product past the float range
+        raise NumericalError(f"the scaling by {lam} is outside the float range") from None
 
 
 _CUBE_ROOTS_OF_ONE = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)),
@@ -295,27 +305,23 @@ def _anchor_matrix() -> np.ndarray:
     return Q
 
 
-def default_path(t_end, t_start=None) -> ParamPath:
-    """Straight parameter path, detoured around the discriminant locus.
+def default_path(t) -> ParamPath:
+    """Straight path from the anchor to ``t``, detoured around the discriminant locus.
 
-    The segment from ``t_start`` (anchor by default) to ``t_end`` is
-    parametrized by ``s in [0, 1]``; the discriminant along it is a cubic
-    polynomial in ``s``, and each root close to the real unit interval is
-    avoided by a polygonal semicircle in the complex ``s`` plane, on the
-    side away from the root, except a last root past ``s = 1``.  A root on
-    the real axis is passed above.  A real segment's cubic is solved in real
-    arithmetic, so its real roots are exactly real and the side never follows
-    rounding noise.  The detours are taken in the order the eigenvalue solver
-    returns the roots.  The path's clearance is the exact per-segment bound
-    of ``ParamPath``.
+    The segment is parametrized by ``s in [0, 1]``; the discriminant along
+    it is a cubic polynomial in ``s``, and each root close to the real unit
+    interval is avoided by a polygonal semicircle in the complex ``s``
+    plane, on the side away from the root, except a last root past
+    ``s = 1``.  A root on the real axis is passed above.  A real segment's
+    cubic is solved in real arithmetic, so its real roots are exactly real
+    and the side never follows rounding noise.  The detours are taken in the
+    order the eigenvalue solver returns the roots.  The last waypoint is
+    ``t`` itself, and the path's clearance is the exact per-segment bound of
+    ``ParamPath``.
     """
-    p1 = as_weierstrass(t_end)
-    p0 = as_weierstrass(t_start) if t_start is not None else \
-        WeierstrassPoint(BASE_T2, BASE_T3)
-    _require_away_from_discriminant(p0)
+    p1 = as_weierstrass(t)
     _require_away_from_discriminant(p1)
-
-    a0, a1 = p0.as_array(), p1.as_array()
+    a0, a1 = np.array([BASE_T2, BASE_T3]), p1.as_array()
     q = a1 - a0
     # discriminant along the segment as a cubic in s
     coeffs = np.array([
@@ -352,14 +358,15 @@ def default_path(t_end, t_start=None) -> ParamPath:
             theta = side * np.pi * (1.0 - j / n_arc)
             svals.append(c + rho * np.exp(1j * theta))
         cursor = c + rho
-    if cursor < 1.0 or not svals or svals[-1] != 1.0:
+    if svals[-1] != 1.0:  # an arc ends at s = cursor
         svals.append(1.0)
 
     waypoints = np.array([a0 + s * q for s in svals], dtype=np.complex128)
+    waypoints[-1] = a1
     try:
         return ParamPath(waypoints, discriminant=discriminant)
     except ClearanceViolation as exc:
-        raise NearDiscriminant(f"could not certify a path to {t_end}: {exc}")
+        raise NearDiscriminant(f"could not certify a path to {t}: {exc}")
 
 
 # Largest distance from the nearest integer matrix at which T Q^-1 counts
@@ -456,16 +463,10 @@ def period_matrix(t) -> PeriodMatrix2:
     ``_continue_basis``).
     """
     p = as_weierstrass(t)
-    _require_away_from_discriminant(p)
     anchor = _anchor_matrix()
     if p.t2 == BASE_T2 and p.t3 == BASE_T3:
         return PeriodMatrix2(anchor)
-
-    path = default_path(p)
-    # end on t itself: the path's last waypoint is a0 + 1.0 * (t - a0)
-    waypoints = path.waypoints[:-1].tolist() + [[p.t2, p.t3]]
-    T = _continue_basis(waypoints, anchor.tolist())
-    P = PeriodMatrix2(T)
+    P = PeriodMatrix2(_continue_basis(default_path(p).waypoints.tolist(), anchor.tolist()))
     P.validate(1e-7)
     return P
 

@@ -21,7 +21,8 @@ so a full matrix transports by ``dP = P A^T``.  Zero trace makes the
 determinant an exact constant of transport; closed loops therefore return
 an integer, determinant-one change of cycle basis (the monodromy).
 
-``transport`` integrates this system.  ``monodromy`` runs no ODE: it
+``transport`` integrates this system, with ``connection_matrix`` as the
+right-hand side of ``integrate_linear_ode``.  ``monodromy`` runs no ODE: it
 continues the Carlson matrices of ``elliptic`` around the loop by integer
 rounding, so the ODE stays an independent route to the same matrix.
 """
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
-    LinearODESystem,
     ParamPath,
     _float_range,
     _integer,
@@ -59,22 +59,15 @@ def connection_matrix(t, v) -> np.ndarray:
     """Connection contracted with the direction ``v = (v2, v3)``."""
     p, (v2, v3) = elliptic.as_weierstrass(t), elliptic._pair(v)
     delta_big = elliptic.discriminant(p)
-    if abs(delta_big) < 1e-12 * elliptic._delta_scale(p):
-        raise NearDiscriminant("connection pole: discriminant vanishes")
     with _float_range("the connection along this direction"):
+        if abs(delta_big) < 1e-12 * elliptic._delta_scale(p):
+            raise NearDiscriminant("connection pole: discriminant vanishes")
         d_delta = 3.0 * p.t2 ** 2 * v2 - 54.0 * p.t3 * v3
         delta_small = 3.0 * p.t3 * v2 - 2.0 * p.t2 * v3
         return np.array(
             [[-d_delta / 12.0, -1.5 * delta_small],
              [(p.t2 / 8.0) * delta_small, d_delta / 12.0]],
             dtype=np.complex128) / delta_big
-
-
-def gm_system() -> LinearODESystem:
-    """The transport system, packaged for ``integrate_linear_ode``."""
-    return LinearODESystem(
-        dimension=2,
-        rhs=lambda point, velocity: connection_matrix(point, velocity))
 
 
 def _require_plane_path(path: ParamPath) -> None:
@@ -86,8 +79,7 @@ def _require_plane_path(path: ParamPath) -> None:
 def transport_entries(path: ParamPath, start_entries, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Raw matrix transport along ``path`` (no period-specific validation)."""
     _require_plane_path(path)
-    Y0 = np.asarray(start_entries, dtype=np.complex128)
-    return integrate_linear_ode(gm_system(), path, Y0, tol=tol)
+    return integrate_linear_ode(connection_matrix, path, start_entries, tol=tol)
 
 
 def transport(path: ParamPath, basepoint_periods, tol: float = DEFAULT_TOL) -> elliptic.PeriodMatrix2:

@@ -14,7 +14,6 @@ The group check of ``group_element_action`` is ``poincare.is_in_gamma``.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,8 +338,8 @@ def elliptic_hs(tau):
     condition.
     """
     tau = _number("tau", tau)
-    if not (tau.imag and cmath.isfinite(tau)):
-        raise RealTau(f"tau = {tau} is real or not finite")
+    if not tau.imag:
+        raise RealTau(f"tau = {tau} is real")
     phi = HodgeType(1, (1, 1), np.array([[0, 1], [-1, 0]]))
     line = np.array([[tau], [1.0]], dtype=complex)
     return phi, HodgeFiltration.from_levels(phi, (line,))

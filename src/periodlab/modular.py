@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearCusp, NonConvergent, RealTau, UnsupportedType, ValidationError
-from .numerics import _float_range, _integer, _number, _positive
+from .numerics import MAX_WEIGHT, _float_range, _integer, _number, _positive
 from .qseries import QSeries, bernoulli, eisenstein_normalized
 
 __all__ = [
@@ -117,7 +117,7 @@ def eisenstein_lattice(k, lat):
     of max(1, |sum|), near row 8 at k = 4. A sum that leaves the float
     range raises NumericalError.
     """
-    k = _integer("weight k", k)
+    k = _integer("weight k", k, -MAX_WEIGHT, MAX_WEIGHT)
     if k % 2 or k < 4:
         raise UnsupportedType(f"lattice Eisenstein sum needs even weight >= 4, got {k}")
     if not isinstance(lat, Lattice):
@@ -161,7 +161,7 @@ def _reduce(tau):
     gamma tau leaves the float range.
     """
     tau = _number("tau", tau)
-    if not (tau.imag > 0 and cmath.isfinite(tau)):
+    if not tau.imag > 0:
         raise RealTau(f"tau = {tau} not in the upper half-plane")
     a, b, c, d = 1, 0, 0, 1
     try:
@@ -193,7 +193,7 @@ def eisenstein_q(k, tau):
     sum_m (tau + m)^(-k) and the series keeps q^(2n) / (1 - q^n). A value
     outside the float range raises NearCusp.
     """
-    k = _integer("weight k", k)
+    k = _integer("weight k", k, -MAX_WEIGHT, MAX_WEIGHT)
     if k % 2 or k < 4:
         raise UnsupportedType(f"q-expansion Eisenstein needs even weight >= 4, got {k}")
     _, reduced, w = _reduce(tau)
@@ -287,7 +287,7 @@ def full_modular_weight_check(f, k, samples=12, tol=1e-8, seed=0):
     The exponent is the one forced by the lattice-sum definition; see the
     module docstring for the convention note.
     """
-    k, samples = _integer("weight k", k), _integer("samples", samples, 1)
+    k, samples = _integer("weight k", k, -MAX_WEIGHT, MAX_WEIGHT), _integer("samples", samples, 1)
     tol, rng = _positive("tol", tol), np.random.default_rng(_integer("seed", seed, 0))
     worst = 0.0
     for _ in range(samples):

@@ -3,17 +3,17 @@
 All scalars are complex128; tolerances are absolute distances in the complex
 plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
-in parallel. ``_number`` (a ``numbers.Number``), ``_integer`` (4.0 is 4, True is refused)
-and ``_positive`` (positive and finite) read every scalar argument of the public API.
+in parallel. ``_number`` (a finite ``numbers.Number``), ``_integer`` (4.0 is 4, True is
+refused) and ``_positive`` (positive and finite) read every scalar argument of the public API.
 
 ``ParamPath`` certifies a path against a discriminant hook that is a
 polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
 is): the cubic through 4 samples per segment gives a lower bound on
 |discriminant| from its roots, exact up to the rounding of the samples.
 
-``integrate_linear_ode`` transports a square complex matrix ``Y`` along a
-piecewise-linear path in parameter space under ``dY = Y A(t)^T dt``, with
-an embedded Runge-Kutta 4(5) pair and proportional step control.  The
+``integrate_linear_ode(rhs, path, Y0)`` transports a square complex matrix
+along a piecewise-linear path under ``dY = Y A(t)^T dt``, ``A = rhs(point,
+velocity)``, with an embedded Runge-Kutta 4(5) pair and step control.  The
 private kernel ``_complete_rf_rd`` evaluates the complete Carlson integrals
 R_F and R_D from one quadratically convergent AGM (DLMF 19.8(i), 19.22(ii));
 they give ``elliptic`` its cut-cycle closed forms.  ``quad_sqrt_singular``
@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from numbers import Number
 from typing import Callable
 
@@ -140,9 +139,10 @@ class ParamPath:
             return float(abs(samples[0]))
         vals = np.column_stack([samples[:n], samples[n + 1:2 * n + 1],
                                 samples[2 * n + 1:], samples[1:n + 1]])
-        lead, roots, dropped = _trimmed_roots(vals @ _CUBIC_FIT.T)
-        dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
-        bound = np.abs(lead) * np.prod(dist, axis=1, where=~np.isnan(roots)) - dropped
+        with _float_range("the clearance of this path"):
+            lead, roots, dropped = _trimmed_roots(vals @ _CUBIC_FIT.T)
+            dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
+            bound = np.abs(lead) * np.prod(dist, axis=1, where=~np.isnan(roots)) - dropped
         return float(bound.min())
 
     @property
@@ -168,36 +168,6 @@ class ParamPath:
             if np.any(velocity != 0):
                 yield start, velocity
 
-    def length(self) -> float:
-        return float(sum(np.linalg.norm(v) for _, v in self.segments()))
-
-    def reversed(self) -> "ParamPath":
-        back = ParamPath(self.waypoints[::-1].copy())
-        back.clearance = self.clearance
-        return back
-
-    def concat(self, other: "ParamPath") -> "ParamPath":
-        if not np.array_equal(self.waypoints[-1], other.waypoints[0]):
-            raise ValidationError("paths do not share an endpoint")
-        joined = ParamPath(np.vstack([self.waypoints, other.waypoints[1:]]))
-        if self.clearance is not None and other.clearance is not None:
-            joined.clearance = min(self.clearance, other.clearance)
-        return joined
-
-
-@dataclass(frozen=True)
-class LinearODESystem:
-    """Right-hand side of ``dY = Y A^T`` along paths in C^s.
-
-    ``rhs(point, velocity)`` must return the connection matrix already
-    contracted with the velocity vector, i.e. the matrix ``A`` such that
-    moving from ``point`` with the given (complex) velocity for parameter
-    time ``ds`` changes a row vector ``y`` by ``dy = y A^T ds``.
-    """
-
-    dimension: int
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 # Dormand-Prince 5(4) tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -218,16 +188,18 @@ _DP_E = _DP_B5 - _DP_B4
 _MAX_STEPS = 200_000
 
 
-def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
-                         tol: float = DEFAULT_TOL, max_step: float | None = None):
+def integrate_linear_ode(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray], path: ParamPath,
+                         Y0, tol: float = DEFAULT_TOL, max_step: float | None = None):
     """Transport ``Y0`` along ``path`` under ``dY = Y A(t)^T dt``.
 
     Parameters
     ----------
-    system : LinearODESystem
+    rhs : callable
+        ``rhs(point, velocity)`` is the connection contracted with the
+        velocity: the ``A`` of ``dy = y A^T ds`` for a row vector ``y``.
     path : ParamPath
     Y0 : array_like
-        Square complex matrix of size ``system.dimension``.
+        Square complex matrix; ``rhs`` must return matrices of its size.
     tol : float
         Bound on the estimated local error per accepted step (entrywise,
         absolute).
@@ -241,10 +213,9 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
     ndarray
         The transported matrix at the end of the path.
     """
-    mu = system.dimension
     Y = np.array(Y0, dtype=np.complex128)
-    if Y.shape != (mu, mu):
-        raise ValidationError(f"Y0 must be {mu}x{mu}")
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
+        raise ValidationError(f"Y0 must be a square matrix, got shape {Y.shape}")
     tol = _positive("tol", tol)
     max_step = None if max_step is None else _positive("max_step", max_step)
 
@@ -254,9 +225,8 @@ def integrate_linear_ode(system: LinearODESystem, path: ParamPath, Y0,
     for start, velocity in path.segments():
 
         def f(sigma: float, Y: np.ndarray) -> np.ndarray:
-            A = np.asarray(system.rhs(start + sigma * velocity, velocity),
-                           dtype=np.complex128)
-            if A.shape != (mu, mu):
+            A = np.asarray(rhs(start + sigma * velocity, velocity), dtype=np.complex128)
+            if A.shape != Y.shape:
                 raise ValidationError("rhs returned a matrix of wrong shape")
             if not np.all(np.isfinite(A.view(np.float64))):
                 raise NonFiniteRHS("rhs returned a non-finite matrix")
@@ -418,32 +388,37 @@ def _integer_det(a):
     return det * prev
 
 
+# Largest |weight| (the j-qexp cap): work grows with it; (c tau + d)^-n loses phase near 2^53.
+MAX_WEIGHT = 1000
+
+
 def _number(name, value) -> complex:
-    """``value`` as a complex number, or ValidationError naming the field."""
+    """``value`` as a finite complex number, or ValidationError naming the field."""
     if isinstance(value, Number):
         try:
-            return complex(value)
+            if cmath.isfinite(z := complex(value)):
+                return z
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
-def _integer(name, value, low=-math.inf) -> int:
-    """``value`` as an int >= ``low`` by the rule of ``exact_integers``, else ValidationError."""
+def _integer(name, value, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an int in [low, high] by the rule of ``exact_integers``, else ValidationError."""
     with suppress(ValidationError):
         n = exact_integers(value, ValidationError, name)
-        if not n.ndim and n >= low:
+        if not n.ndim and low <= n <= high:
             return int(n)
-    bound = f" >= {low}" if low > -math.inf else ""
-    raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+    bound = " and ".join(f"{o} {v}" for o, v in ((">=", low), ("<=", high)) if math.isfinite(v))
+    raise ValidationError(f"{name} must be an integer {bound}".rstrip() + f", got {value!r}")
 
 
 def _positive(name, value) -> float:
     """``value`` as a positive finite float, or ValidationError naming the field."""
-    z = _number(name, value)
-    if z.imag or not 0.0 < z.real < math.inf:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    return z.real
+    with suppress(ValidationError):
+        if not (z := _number(name, value)).imag and z.real > 0.0:
+            return z.real
+    raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @contextmanager

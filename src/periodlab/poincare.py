@@ -11,7 +11,6 @@ sees, fails already on products of the two standard generators).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .errors import (
     StabilizerMismatch,
     ValidationError,
 )
-from .numerics import (_float_range, _integer, _integer_det, _number, _positive,
+from .numerics import (MAX_WEIGHT, _float_range, _integer, _integer_det, _number, _positive,
                        exact_integers)
 
 __all__ = [
@@ -141,44 +140,38 @@ class PartialSumsReport:
         return self.partial_sums[-1]
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _canonical_pairs(h):
-    """Coprime pairs with max(|a|,|b|) == h, one per {+,-} class."""
+def _shell_pairs(h):
+    """Coprime pairs (a, b) with max(|a|, |b|) == h, one per {+,-} class: (h, b)
+    for b from -h to h, then (a, h) and (a, -h) for a from 1 to h - 1."""
     if h == 1:
-        return [(0, 1), (1, 0), (1, 1), (1, -1)]
-    pairs = [(h, b) for b in range(-h, h + 1) if math.gcd(h, b) == 1]
-    for a in range(1, h):
-        if math.gcd(a, h) == 1:
-            pairs += [(a, h), (a, -h)]
-    return pairs
+        return np.array([[0, 1], [1, 0], [1, 1], [1, -1]])
+    b, a = np.arange(-h, h + 1), np.arange(1, h)
+    b, a = b[np.gcd(h, b) == 1], np.repeat(a[np.gcd(a, h) == 1], 2)
+    return np.concatenate([np.column_stack([np.full_like(b, h), b]),
+                           np.column_stack([a, np.resize([h, -h], len(a))])])
 
 
-def _complete_rows(pair, stabilizer):
-    """Extend a coprime pair to an SL(2,Z) matrix per the stabilizer side."""
-    a, b = pair
-    g, u, v = _ext_gcd(a, b)
-    if g < 0:
-        g, u, v = -g, -u, -v
-    if g != 1:
-        raise ValidationError(f"pair {pair} is not coprime")
-    if stabilizer == "upper":
-        # pair is the bottom row; A = [[v, -u], [a, b]]
-        return ((v, -u), (a, b))
-    if stabilizer == "lower":
-        # pair is the top row; A = [[a, b], [-v, u]]
-        return ((a, b), (-v, u))
-    raise ValidationError(f"unknown stabilizer id {stabilizer!r}")
+def _complete(pairs, stabilizer):
+    """SL(2,Z) matrices with the coprime ``pairs`` as bottom rows (stabilizer
+    "upper") or top rows ("lower"), as an (n, 2, 2) int64 array.
+
+    The extended Euclid runs elementwise on rows (r, s, t) with r = s a + t b:
+    from (a, 1, 0) and (b, 0, 1) it steps (x, y) -> (y, x - (x_r // y_r) y)
+    until y_r = 0, so x = (+-1, u, v) and the sign times (v, -u) completes (a, b).
+    """
+    if stabilizer not in ("upper", "lower"):
+        raise ValidationError(f"unknown stabilizer id {stabilizer!r}")
+    x, y = np.zeros((2, 3, len(pairs)), dtype=np.int64)
+    x[0], x[1], y[0], y[2] = pairs[:, 0], 1, pairs[:, 1], 1
+    live = np.flatnonzero(y[0])
+    while live.size:
+        q = x[0][live] // y[0][live]
+        for xi, yi in zip(x, y):
+            xi[live], yi[live] = yi[live], xi[live] - q * yi[live]
+        live = live[y[0][live] != 0]
+    g, u, v = x
+    other = np.column_stack([g * v, -g * u])
+    return np.stack([other, pairs] if stabilizer == "upper" else [pairs, -other], axis=1)
 
 
 _TABLES = {}  # stabilizer -> (table, ends) through the largest height asked for
@@ -191,10 +184,9 @@ def _coset_table(stabilizer, height):
     height = _integer("height", height, 1)
     table, ends = _TABLES.get(stabilizer, (np.zeros((0, 2, 2), dtype=np.int64), ()))
     if len(ends) < height:
-        shells = [np.array([_complete_rows(pair, stabilizer) for pair in _canonical_pairs(h)],
-                           dtype=np.int64) for h in range(len(ends) + 1, height + 1)]
+        shells = [_shell_pairs(h) for h in range(len(ends) + 1, height + 1)]
         ends += tuple(itertools.accumulate(map(len, shells), initial=len(table)))[1:]
-        table = np.concatenate([table, *shells])
+        table = np.concatenate([table, _complete(np.concatenate(shells), stabilizer)])
         table.setflags(write=False)
         _TABLES[stabilizer] = table, ends
     return table[:ends[height - 1]], ends[:height]
@@ -234,7 +226,7 @@ def _random_sl2(rng, height=3):
         if math.gcd(c, d) != 1:
             continue
         shift = int(rng.integers(-2, 3))
-        base = np.array(_complete_rows((c, d), "upper"), dtype=np.int64)
+        base = _complete(np.array([[c, d]]), "upper")[0]
         twist = np.array([[1, shift], [0, 1]], dtype=np.int64)
         return twist @ base
 
@@ -262,7 +254,8 @@ def cocycle_check(factor, samples=100, tol=1e-12, seed=0):
 
 def slash(f, n, a):
     """The weight-n slash: (f |_n A)(x) = (cx + d)^(-n) f(A x)."""
-    n, a = _integer("weight n", n), exact_integers(a, NotInGroup, "group elements")
+    n = _integer("weight n", n, -MAX_WEIGHT, MAX_WEIGHT)
+    a = exact_integers(a, NotInGroup, "group elements")
 
     def transformed(z):
         with _float_range(f"the weight-{n} slash"):
@@ -318,9 +311,10 @@ def poincare_series_uhp(f, n, height, tau, tol=1e-6):
     column (tau, 1), summed over the cosets of the upper-triangular
     stabilizer (see ``_shell_series``).
     """
-    n, tau, tol = _integer("weight n", n), _number("tau", tau), _positive("tol", tol)
-    if not (tau.imag > 0 and cmath.isfinite(tau)):
-        raise ValidationError(f"tau must be a finite point of the upper half-plane, got {tau}")
+    n, tau = _integer("weight n", n, -MAX_WEIGHT, MAX_WEIGHT), _number("tau", tau)
+    tol = _positive("tol", tol)
+    if not tau.imag > 0:
+        raise ValidationError(f"tau must be a point of the upper half-plane, got {tau}")
 
     def p(y):
         return y[1, 0] ** (-n) * f(y[0, 0] / y[1, 0])

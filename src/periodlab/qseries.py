@@ -9,11 +9,12 @@ that of 1728 j (`modular.j_q_expansion`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .numerics import _integer
+from .numerics import MAX_WEIGHT, _integer
 
 __all__ = ["QSeries", "bernoulli", "sigma_series", "eisenstein_normalized"]
 
@@ -49,14 +50,21 @@ class QSeries:
 
 
 def bernoulli(n):
-    """Bernoulli number B_n (B_1 = +1/2 convention) as an exact Fraction."""
+    """Bernoulli number B_n (B_1 = +1/2 convention) as an exact Fraction.
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), with the tangent numbers T_m of
+    tan x = sum T_m x^(2m-1) / (2m-1)! from the integer recurrence of Brent and
+    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers" (2013).
+    """
     n = _integer("Bernoulli index", n, 0)
-    b = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        b[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            b[j - 1] = j * (b[j - 1] - b[j])
-    return b[0]
+    if n < 2 or n % 2:
+        return Fraction(1, n + 1) if n < 2 else Fraction(0)
+    m = n // 2
+    t = [0] + [math.factorial(j - 1) for j in range(1, m + 1)]  # T_j after the sweeps
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Fraction((-1) ** (m - 1) * n * t[m], 4 ** m * (4 ** m - 1))
 
 
 def sigma_series(power, n_terms):
@@ -75,7 +83,7 @@ def eisenstein_normalized(k, n_terms):
 
     For k = 4 the multiplier is +240, for k = 6 it is -504.
     """
-    k = _integer("weight", k, 2)
+    k = _integer("weight", k, 2, MAX_WEIGHT)
     if k % 2:
         raise ValidationError("normalized Eisenstein series needs even weight >= 2")
     mult = -Fraction(2 * k) / bernoulli(k)

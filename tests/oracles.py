@@ -329,6 +329,41 @@ def oracle_coset_classes(height):
     return seen
 
 
+def _ext_gcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def oracle_coset_table(stabilizer, height):
+    """The coset table and its shell ends, built one pair at a time in Python.
+
+    Shell h lists the coprime pairs (h, b) for b from -h to h, then (a, h)
+    and (a, -h) for a from 1 to h - 1 (shell 1 is (0, 1), (1, 0), (1, 1),
+    (1, -1)); the scalar extended gcd u a + v b = 1 completes each pair, as
+    the bottom row [[v, -u], [a, b]] ("upper") or the top row
+    [[a, b], [-v, u]] ("lower").
+    """
+    rows, ends = [], []
+    for h in range(1, height + 1):
+        pairs = [(0, 1), (1, 0), (1, 1), (1, -1)] if h == 1 else \
+            [(h, b) for b in range(-h, h + 1) if math.gcd(h, b) == 1] + \
+            [(a, sign * h) for a in range(1, h) if math.gcd(a, h) == 1 for sign in (1, -1)]
+        for a, b in pairs:
+            g, u, v = _ext_gcd(a, b)
+            if g < 0:
+                g, u, v = -g, -u, -v
+            rows.append(((v, -u), (a, b)) if stabilizer == "upper" else ((a, b), (-v, u)))
+        ends.append(len(rows))
+    return np.array(rows, dtype=np.int64), tuple(ends)
+
+
 def oracle_uhp_series(f, weights, height, tau, tol=1e-6):
     """The classical Poincare series by its own per-coset loop.
 

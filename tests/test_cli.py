@@ -240,6 +240,11 @@ class TestModularCommands:
         assert out == ""
         assert json.loads(err)["error"] == "NumericalError"
 
+    def test_weight_past_the_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "eisenstein", "--k", "1002", "--tau", "i")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValidationError"
+
     def test_odd_weight_exits_2(self, capsys):
         code, _, err = run(capsys, "eisenstein", "--k", "5", "--tau", "2i")
         assert code == 2

@@ -8,6 +8,8 @@ import pytest
 from periodlab import elliptic, gaussmanin, numerics
 from periodlab.elliptic import (
     SIGMA,
+    BASE_T2,
+    BASE_T3,
     KhodayaPoint,
     PeriodMatrix2,
     WeierstrassPoint,
@@ -29,6 +31,9 @@ from periodlab.errors import (
     ZeroLambda,
     ZeroT0,
 )
+
+from periodlab.gaussmanin import circle_loop
+from periodlab.numerics import ParamPath
 
 import oracles
 
@@ -84,6 +89,36 @@ class TestBasics:
     def test_malformed_point_fields_rejected(self, fields):
         with pytest.raises(ValidationError):
             WeierstrassPoint(*fields)
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: period_matrix((1e300, 0)), NumericalError),
+        (lambda: period_matrix((0, 1e300)), NumericalError),
+        (lambda: default_path((1e300, 0)), NumericalError),
+        (lambda: khodaya_period_matrix((1, 0, 1e300, 0)), NumericalError),
+        (lambda: ParamPath([[1e300, 0], [1, 0]], discriminant=discriminant), NumericalError),
+        (lambda: circle_loop(1e300, 0, 1.0), NumericalError),
+        (lambda: scale_action(1e100, (4, 0)), NumericalError),
+        (lambda: scale_action(1e60, (1e100, 0)), NumericalError),
+        # |discriminant| and |t2|^3 past the float range, each part finite
+        (lambda: period_matrix((1.2e102 * (1 + 1j), 0)), NumericalError),
+        (lambda: period_matrix((0, 2.1e153 * (1 + 1j))), NumericalError),
+        # a finite discriminant whose cubic fit along the path overflows
+        (lambda: period_matrix((0, 1.6e153)), NumericalError),
+        (lambda: period_matrix((math.inf, 0)), ValidationError),
+        (lambda: curve_roots((math.inf, 0)), ValidationError),
+        (lambda: scale_action(2, (math.inf, 0)), ValidationError),
+        (lambda: WeierstrassPoint(math.inf, 0), ValidationError),
+        (lambda: WeierstrassPoint(1.0, complex(0, math.nan)), ValidationError),
+        (lambda: KhodayaPoint(1, math.nan, 1, 0), ValidationError),
+    ], ids=["period-t2", "period-t3", "path", "khodaya", "certificate", "loop", "scale",
+            "scale-product", "period-modulus", "period-t3-modulus", "certificate-fit",
+            "period-inf",
+            "roots-inf", "scale-inf", "point-inf", "point-nan", "khodaya-nan"])
+    def test_outside_the_float_range_is_typed(self, call, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                call()
 
     def test_point_forms_agree_bit_for_bit(self):
         t2, t3 = 1.3 + 0.4j, -0.7 + 0.2j
@@ -240,6 +275,27 @@ class TestDefaultPath:
         path = default_path(t)
         assert tuple(path.end) == t
         assert path.clearance is not None and path.clearance > 0
+
+    def test_last_waypoint_is_t_itself(self, monkeypatch):
+        # the certified path is the walked one: it ends at t bit for bit, and
+        # period_matrix continues along its waypoints as they are
+        walked, continue_basis = [], elliptic._continue_basis
+        monkeypatch.setattr(elliptic, "_continue_basis",
+                            lambda w, T: walked.append(w) or continue_basis(w, T))
+        rng = np.random.default_rng(17)
+        answered = 0
+        for _ in range(200):
+            t = (_log_uniform(rng, False), _log_uniform(rng, False))
+            try:
+                path = default_path(t)
+                assert path.end.tolist() == list(t)
+                assert path.start.tolist() == [BASE_T2, BASE_T3]
+                period_matrix(t)
+            except NearDiscriminant:
+                continue
+            assert walked.pop() == path.waypoints.tolist()
+            answered += 1
+        assert answered >= 150
 
     def test_avoids_real_discriminant_crossing(self):
         # the straight segment to this point passes near a discriminant

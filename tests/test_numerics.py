@@ -19,7 +19,6 @@ from periodlab.errors import (
 from periodlab.gaussmanin import circle_loop
 from periodlab.modular import Lattice, eisenstein_lattice, eisenstein_q, j_normalized
 from periodlab.numerics import (
-    LinearODESystem,
     _complete_rf_rd,
     _integer_det,
     ParamPath,
@@ -53,16 +52,6 @@ class TestParamPath:
     def test_closed_and_length(self):
         square = ParamPath([[0], [1], [1 + 1j], [1j], [0]])
         assert square.is_closed()
-        assert square.length() == pytest.approx(4.0)
-
-    def test_reversed_and_concat(self):
-        path = ParamPath([[0.0], [1.0]])
-        back = path.reversed()
-        assert back.start[0] == 1.0
-        loop = path.concat(back)
-        assert loop.is_closed()
-        with pytest.raises(ValidationError):
-            path.concat(ParamPath([[5.0], [6.0]]))
 
     def test_clearance_certificate(self):
         disc = lambda p: p[0]
@@ -83,13 +72,6 @@ class TestParamPath:
                 warnings.simplefilter("error")
                 with pytest.raises(ClearanceViolation):
                     ParamPath(waypoints, discriminant=lambda p: complex(hook(p)))
-
-    def test_clearance_is_carried(self):
-        path = ParamPath([[1.0], [2.0]], discriminant=lambda p: p[0])
-        back = path.reversed()
-        assert back.clearance == path.clearance
-        assert path.concat(back).clearance == path.clearance
-        assert path.concat(ParamPath([[2.0], [3.0]])).clearance is None
 
     def test_clearance_bounds_a_cubic(self):
         # (s - 0.5 - 0.01i)(s + 2)(s - 3) on [0, 1]: the bound is |lead|
@@ -131,18 +113,15 @@ class TestQuadrature:
                                0.0, 1.0, max_nodes=64)
 
 
-def _constant_system(a):
-    return LinearODESystem(
-        dimension=a.shape[0],
-        rhs=lambda point, velocity: a * velocity[0],
-    )
+def _constant_rhs(a):
+    return lambda point, velocity: a * velocity[0]
 
 
 class TestLinearODE:
     def test_matrix_exponential(self):
         # dY = Y A^T with constant A along [0,1]: Y(1) = Y0 expm(A)^T
         a = np.array([[0.1, -0.4], [0.7, 0.2]], dtype=complex)
-        system = _constant_system(a)
+        system = _constant_rhs(a)
         path = ParamPath([0.0, 1.0])
         out = integrate_linear_ode(system, path, np.eye(2), tol=1e-12)
         from scipy.linalg import expm
@@ -151,10 +130,7 @@ class TestLinearODE:
     def test_against_scipy_on_varying_system(self):
         a = lambda s: np.array([[np.sin(s), 0.3], [-0.2, np.cos(2 * s)]],
                                dtype=complex)
-        system = LinearODESystem(
-            dimension=2,
-            rhs=lambda point, velocity: a(point[0].real) * velocity[0],
-        )
+        system = lambda point, velocity: a(point[0].real) * velocity[0]
         path = ParamPath([0.0, 2.0])
         mine = integrate_linear_ode(system, path, np.eye(2), tol=1e-12)
 
@@ -167,7 +143,7 @@ class TestLinearODE:
 
     def test_error_decreases_with_tol(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-        system = _constant_system(a)
+        system = _constant_rhs(a)
         path = ParamPath([0.0, 1.0])
         from scipy.linalg import expm
         exact = expm(a).T
@@ -182,7 +158,7 @@ class TestLinearODE:
         # with max_step forcing fixed h, halving h should cut the error by
         # roughly 2^5 (the integrator is fifth order)
         a = np.array([[0.2, 1.1], [-0.9, -0.1]], dtype=complex)
-        system = _constant_system(a)
+        system = _constant_rhs(a)
         path = ParamPath([0.0, 1.0])
         from scipy.linalg import expm
         exact = expm(a).T
@@ -195,21 +171,19 @@ class TestLinearODE:
 
     def test_shape_validation(self):
         a = np.eye(2, dtype=complex)
-        system = _constant_system(a)
+        system = _constant_rhs(a)
         path = ParamPath([0.0, 1.0])
         with pytest.raises(ValidationError):
             integrate_linear_ode(system, path, np.eye(3), tol=1e-8)
+        with pytest.raises(ValidationError):
+            integrate_linear_ode(system, path, np.ones((2, 3)), tol=1e-8)
         with pytest.raises(ValidationError):
             integrate_linear_ode(system, path, np.eye(2), tol=-1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_near_pole(self):
         # the RHS is deliberately evaluated at its pole
-        system = LinearODESystem(
-            dimension=1,
-            rhs=lambda point, velocity: np.array(
-                [[velocity[0] / (point[0] - 0.5)]]),
-        )
+        system = lambda point, velocity: np.array([[velocity[0] / (point[0] - 0.5)]])
         path = ParamPath([0.0, 1.0])
         with pytest.raises((StepUnderflow, NonConvergent, NonFiniteRHS)):
             integrate_linear_ode(system, path, np.eye(1), tol=1e-10)

@@ -190,8 +190,8 @@ class TestCosetEnumeration:
         # one table per stabilizer: a larger height appends its new shells and
         # a smaller one reads a prefix, whatever order the heights come in
         monkeypatch.setattr(poincare, "_TABLES", {})
-        built, pairs = [], poincare._canonical_pairs
-        monkeypatch.setattr(poincare, "_canonical_pairs", lambda h: built.append(h) or pairs(h))
+        built, pairs = [], poincare._shell_pairs
+        monkeypatch.setattr(poincare, "_shell_pairs", lambda h: built.append(h) or pairs(h))
         for height in (10, 20, 30, 40, 50) * 2:
             assert len(poincare_series_uhp(lambda z: 1.0, 4, height, 1j).heights) == height
         assert sorted(built) == list(range(1, 51))
@@ -200,6 +200,19 @@ class TestCosetEnumeration:
         fresh, fresh_ends = poincare._coset_table("upper", 30)
         assert np.array_equal(grown, fresh) and grown_ends == fresh_ends
         assert not grown.flags.writeable
+
+    @pytest.mark.parametrize("stabilizer", ["upper", "lower"])
+    def test_table_equals_the_scalar_build(self, stabilizer, monkeypatch):
+        # the numpy build against one extended gcd per pair, every shell to 500
+        monkeypatch.setattr(poincare, "_TABLES", {})
+        table, ends = poincare._coset_table(stabilizer, 500)
+        ref, ref_ends = oracles.oracle_coset_table(stabilizer, 500)
+        assert table.dtype == np.int64 and np.array_equal(table, ref) and ends == ref_ends
+
+    def test_unknown_stabilizer_is_refused(self, monkeypatch):
+        monkeypatch.setattr(poincare, "_TABLES", {})
+        with pytest.raises(ValidationError):
+            poincare._coset_table("diagonal", 3)
 
     def test_series_sum_over_bruteforce_classes(self, pm):
         # both series sum over the same table; pin it against the oracle

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from periodlab.errors import ValidationError
@@ -36,6 +37,18 @@ class TestNumberTheory:
         assert bernoulli(8) == Fraction(-1, 30)
         assert bernoulli(12) == Fraction(-691, 2730)
         assert bernoulli(3) == 0
+
+    def test_bernoulli_matches_the_akiyama_tanigawa_sums(self):
+        # the tangent-number recurrence against the Akiyama-Tanigawa triangle
+        b = []
+        for m in range(121):
+            b.append(Fraction(1, m + 1))
+            for j in range(m, 0, -1):
+                b[j - 1] = j * (b[j - 1] - b[j])
+            assert bernoulli(m) == b[0]
+
+    def test_bernoulli_at_the_weight_cap(self):
+        assert bernoulli(1000) == Fraction(*mpmath.bernfrac(1000))
 
     def test_sigma_series(self):
         s3 = sigma_series(3, 6)

@@ -1,6 +1,6 @@
 """One scalar contract for the public API.
 
-Every scalar argument is read by ``numerics._number`` (a complex number),
+Every scalar argument is read by ``numerics._number`` (a finite complex number),
 ``numerics._integer`` (an int; integral floats are accepted, bools refused)
 or ``numerics._positive`` (a positive finite float). A malformed scalar
 raises ``ValidationError``; an integral float gives what the int gives.
@@ -30,7 +30,7 @@ from periodlab.modular import (
     full_modular_weight_check,
     j_q_expansion,
 )
-from periodlab.numerics import ParamPath, nearest_integer_matrix
+from periodlab.numerics import MAX_WEIGHT, ParamPath, nearest_integer_matrix
 from periodlab.poincare import (
     PSI2,
     GroupElement,
@@ -128,6 +128,35 @@ def test_integral_float_loop_equals_the_int_loop():
     a = circle_loop(4, 1.539600717839002, 0.6, turns=2.0, sides=64.0)
     b = circle_loop(4, 1.539600717839002, 0.6, turns=2, sides=64)
     assert np.array_equal(a.waypoints, b.waypoints) and a.clearance == b.clearance
+
+
+# one weight bound, |k| <= MAX_WEIGHT: each of these answers at the cap and
+# refuses the next even weight
+WEIGHTED = {
+    "lattice": lambda k: eisenstein_lattice(k, Lattice.from_tau(1j)),
+    "q": lambda k: eisenstein_q(k, 1j),
+    "weight-check": lambda k: full_modular_weight_check(_one, k, samples=2),
+    "weight-check-negative": lambda k: full_modular_weight_check(_one, -k, samples=2),
+    "uhp": lambda k: poincare_series_uhp(_one, k, 2, 1j),
+    "uhp-negative": lambda k: poincare_series_uhp(_one, -k, 1, 0.5j),
+    "slash": lambda k: slash(_one, k, [[1, 1], [0, 1]])(1j),
+    "slash-negative": lambda k: slash(_one, -k, [[1, 1], [0, 1]])(1j),
+    "normalized": lambda k: eisenstein_normalized(k, 3),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHTED.values(), ids=WEIGHTED.keys())
+def test_weights_stop_at_the_cap(call):
+    assert MAX_WEIGHT == 1000
+    call(MAX_WEIGHT)
+    with pytest.raises(ValidationError):
+        call(MAX_WEIGHT + 2)
+
+
+def test_huge_weight_no_longer_loses_the_phase():
+    with pytest.raises(ValidationError):
+        poincare_series_uhp(_one, 2 ** 53, 2, 1j)
+    assert abs(poincare_series_uhp(_one, 1000, 2, 1j).value - 2.0) < 1e-12
 
 
 # --- the property: any scalar in any slot answers or raises a typed error ----
