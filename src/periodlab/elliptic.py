@@ -14,8 +14,9 @@ from the anchor along a default path that detours around the discriminant
 locus, passing a real root of a real segment above it.  Entry values are always Carlson closed forms (R_F, R_D) of cycles
 around cuts between branch points, at machine precision; the continuation
 only resolves the integer change of basis, by rounding ``T Q^-1`` from one
-step point to the next, and runs no ODE.  The determinant check is fixed
-at 1e-7 of the entry scale, so these routes take no tolerance.
+step point to the next, and runs no ODE (one array pass computes Q at every
+corner and segment midpoint first).  The determinant check is fixed at 1e-7
+of the entry scale, so these routes take no tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import (
     ValidationError,
     ZeroT0,
 )
-from .numerics import ParamPath, _complete_rf_rd, _number, _positive, _trimmed_roots
+from .numerics import (_CARLSON_MAX_STEPS, ParamPath, _complete_rf_rd, _float_range, _number,
+                       _positive, _trimmed_roots)
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -248,6 +250,61 @@ def _carlson_matrix(t):
     raise NonConvergent(f"no usable branch-cut pairing: {last_error}")
 
 
+def _carlson_matrices(points):
+    """``_carlson_matrix`` at each (t2, t3) row of ``points``, in one array pass.
+
+    Returns the (n, 2, 2) matrices of the first pairing and a mask of the
+    points settled.  Unsettled, for the scalar route to answer or raise: a
+    point the scalar route would raise at or answer by another pairing, a
+    non-finite entry, and two root real parts within rounding (the scalar
+    order is rounding's choice).  A settled row is the scalar one up to sign
+    (rounding picks the branch of a real cut) and the roots' rounding.
+    """
+    t2, t3 = np.asarray(points, dtype=np.complex128).reshape(-1, 2).T[:, :, None]
+    with np.errstate(all="ignore"):
+        settled = abs(t2 * t2 * t2 - 27.0 * (t3 * t3)) >= \
+            DELTA_FLOOR * (1.0 + abs(t2) ** 3 + abs(t3) ** 2)
+        P, Q = -0.25 * t2, -0.25 * t3
+        s = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
+        w = np.where(abs(-0.5 * Q + s) < abs(-0.5 * Q - s), -0.5 * Q - s, -0.5 * Q + s)
+        v = w ** (1.0 / 3.0) * np.array(_CUBE_ROOTS_OF_ONE)
+        x = v - P / (3.0 * v)
+        for _ in range(2):
+            x -= (4.0 * x * x * x - t2 * x - t3) / (12.0 * x * x - t2)
+        e = np.sort(x)  # by (Re, Im)
+        settled &= np.diff(e.real).min(axis=1, keepdims=True) > \
+            1e-9 * abs(e).max(axis=1, keepdims=True)
+        # the two cuts [e0, e1] and [e1, e2], third roots e2 and e0
+        e_a, d, ac = e[:, :2], e[:, 1:] - e[:, :2], e[:, :2] - e[:, [2, 0]]
+        zeta = d / ac
+        t_min = np.clip(-zeta.real / np.maximum(abs(zeta) ** 2, 1e-300), 0.0, 1.0)
+        settled = settled & (abs(1.0 + t_min * zeta) >= 1e-6)
+        w = 1.0 + zeta  # the AGM of _complete_rf_rd, per element
+        a, g, c_sq = np.ones_like(w), np.sqrt(w), 1.0 - w
+        ratio, series = np.ones_like(w), np.full_like(w, 0.5)
+        rf, rd, live = np.full_like(w, np.nan), np.full_like(w, np.nan), settled.copy()
+        for n in range(_CARLSON_MAX_STEPS):
+            if not live.any():
+                break
+            a_next = 0.5 * (a + g)
+            c = c_sq / (4.0 * a_next)
+            ratio *= c / (4.0 * a_next)
+            series += 2.0 ** n * ratio
+            g = np.sqrt(a * g)
+            g[(a_next.conj() * g).real < 0.0] *= -1.0
+            a, c_sq = a_next, c * c
+            stop = live & (abs(c) <= 1e-17 * abs(a))
+            rf[stop] = 0.5 * math.pi / a[stop]
+            rd[stop] = 3.0 * rf[stop] * series[stop]
+            live &= ~stop
+        pre = 2.0 * d / (np.sqrt(d) * np.sqrt(-d) * np.sqrt(ac))
+        Qs = np.stack([pre * rf, pre * (e_a * rf + d * rd / 3.0)], axis=-1)
+        det = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] * Qs[:, 1, 0]
+        settled = settled.all(axis=1) & np.isfinite(Qs).all(axis=(1, 2)) & \
+            (abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + abs(Qs).max(axis=(1, 2)) ** 2))
+    return Qs, settled
+
+
 @dataclass(frozen=True)
 class PeriodMatrix2:
     """2x2 period matrix; rows are cycles, columns are (dx/y, x dx/y)."""
@@ -418,12 +475,19 @@ def _continue_basis(waypoints, T):
     and two half-steps agree on N; it then doubles, otherwise it halves.
     The step carries over from one segment to the next.  Returns the
     continued matrix at the last waypoint, which is ``N Q`` there.
+
+    Q at s = 1 and s = 0.5 of every segment comes from one
+    ``_carlson_matrices`` pass before the scan; other and unsettled step
+    points use ``_carlson_matrix``, which raises as an all-scalar scan would.
     """
+    segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
+                if a != b]
+    first = [pt for _, a, b in segments for pt in (b, [u + 0.5 * (v - u) for u, v in zip(a, b)])]
+    Qs, settled = (arr.tolist() for arr in _carlson_matrices(first))
     h = 1.0
-    for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:])):
-        if a == b:
-            continue
-        cache = {}  # a rejected step's midpoint is the next step's end
+    for j, (k, a, b) in enumerate(segments):
+        # a rejected step's midpoint is the next step's end
+        cache = {s: Qs[i] for s, i in ((1.0, 2 * j), (0.5, 2 * j + 1)) if settled[i]}
 
         def carlson_at(s):
             if s not in cache:
@@ -485,6 +549,8 @@ def reduce_khodaya(k: KhodayaPoint):
     """
     k = _as_khodaya(k)
     s = k.t0 ** (-1.0 / 3.0)
+    if not cmath.isfinite(k.t2 * s):
+        raise NumericalError(f"the reduced t2 of {k} is outside the float range")
     reduced = WeierstrassPoint(k.t2 * s, k.t3)
     _require_away_from_discriminant(reduced)
     return reduced, s
@@ -501,8 +567,9 @@ def khodaya_period_matrix(k: KhodayaPoint) -> PeriodMatrix2:
     reduced, s = reduce_khodaya(k)
     R = period_matrix(reduced).entries
     out = np.empty((2, 2), dtype=np.complex128)
-    out[:, 0] = s * R[:, 0]
-    out[:, 1] = s * (s * R[:, 1] + k.t1 * R[:, 0])
+    with _float_range(f"the period matrix of {k}"):
+        out[:, 0] = s * R[:, 0]
+        out[:, 1] = s * (s * R[:, 1] + k.t1 * R[:, 0])
     return PeriodMatrix2(out)
 
 

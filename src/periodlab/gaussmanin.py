@@ -150,8 +150,9 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
 
     No ODE runs: the Carlson matrix ``Q0`` at the start is continued around
     the loop by integer rounding (``elliptic._continue_basis``, the route of
-    ``period_matrix``), which ends at ``M_Q Q0`` with ``M_Q`` exact.  In the
-    rows of ``P0`` the same monodromy is ``C M_Q C^-1`` with
+    ``period_matrix``; its one array pass covers every step point of a loop
+    whose steps all hold at h = 1), which ends at ``M_Q Q0`` with ``M_Q``
+    exact.  In the rows of ``P0`` the same monodromy is ``C M_Q C^-1`` with
     ``C = P0 Q0^-1``; a ``P0`` that is no period matrix gives a non-integral
     result and ``NonIntegralMonodromy``.
     """

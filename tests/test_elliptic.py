@@ -27,6 +27,7 @@ from periodlab.errors import (
     ClearanceViolation,
     NearDiscriminant,
     NumericalError,
+    StepUnderflow,
     ValidationError,
     ZeroLambda,
     ZeroT0,
@@ -95,6 +96,9 @@ class TestBasics:
         (lambda: period_matrix((0, 1e300)), NumericalError),
         (lambda: default_path((1e300, 0)), NumericalError),
         (lambda: khodaya_period_matrix((1, 0, 1e300, 0)), NumericalError),
+        # the reduction itself leaves the float range
+        (lambda: khodaya_period_matrix((1, 1e308, 4, 0)), NumericalError),
+        (lambda: khodaya_period_matrix((1e-320, 0, 1e300, 0)), NumericalError),
         (lambda: ParamPath([[1e300, 0], [1, 0]], discriminant=discriminant), NumericalError),
         (lambda: circle_loop(1e300, 0, 1.0), NumericalError),
         (lambda: scale_action(1e100, (4, 0)), NumericalError),
@@ -110,7 +114,8 @@ class TestBasics:
         (lambda: WeierstrassPoint(math.inf, 0), ValidationError),
         (lambda: WeierstrassPoint(1.0, complex(0, math.nan)), ValidationError),
         (lambda: KhodayaPoint(1, math.nan, 1, 0), ValidationError),
-    ], ids=["period-t2", "period-t3", "path", "khodaya", "certificate", "loop", "scale",
+    ], ids=["period-t2", "period-t3", "path", "khodaya", "khodaya-t1", "khodaya-reduced-t2",
+            "certificate", "loop", "scale",
             "scale-product", "period-modulus", "period-t3-modulus", "certificate-fit",
             "period-inf",
             "roots-inf", "scale-inf", "point-inf", "point-nan", "khodaya-nan"])
@@ -545,6 +550,90 @@ class TestCarlsonCycles:
             checked += 1
 
 
+def _near_discriminant_point(rng, rel, real):
+    """A point at relative |Delta| about ``rel``, near a double root."""
+    a = 10.0 ** rng.uniform(-1, 1.5) * (rng.choice([-1.0, 1.0]) if real
+                                        else cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+    on = np.array([12.0 * a * a, -8.0 * a ** 3])  # double root at x = a
+    direction = np.array([1.0, rng.normal() if real else complex(rng.normal(), rng.normal())])
+    eps = 1e-6 * np.max(np.abs(on))
+    for _ in range(3):
+        t = on + eps * direction
+        eps *= rel / (abs(discriminant(t)) / elliptic._delta_scale(WeierstrassPoint(*t)))
+    return tuple(on + eps * direction)
+
+
+def _from_roots(a, b, c):
+    """(t2, t3) of 4 (x - a)(x - b)(x - c), for roots summing to zero."""
+    return (-4.0 * (a * b + b * c + c * a), 4.0 * a * b * c)
+
+
+class TestCarlsonKernel:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_matches_scalar_route(self, real):
+        # settled rows agree with _carlson_matrix up to their sign, within
+        # the roots' own rounding: about eps over the relative discriminant
+        rng = np.random.default_rng(41 + real)
+        points = [(_log_uniform(rng, real), _log_uniform(rng, real)) for _ in range(400)]
+        points += [_near_discriminant_point(rng, 10.0 ** rng.uniform(-7, -2), real)
+                   for _ in range(200)]
+        Qs, settled = elliptic._carlson_matrices(points)
+        checked = 0
+        for t, Q, ok in zip(points, Qs, settled):
+            rel = abs(discriminant(t)) / elliptic._delta_scale(WeierstrassPoint(*t))
+            if rel < elliptic.DELTA_FLOOR:
+                assert not ok
+                continue
+            # a real cubic with a conjugate pair has tied real parts
+            assert ok == (not real or discriminant(t).real > 0), t
+            if not ok:
+                continue
+            want = np.array(elliptic._carlson_matrix(t))
+            Q = Q * np.sign((Q[:, :1] / want[:, :1]).real)
+            limit = 1e-13 + 10.0 * np.finfo(float).eps / rel
+            assert np.max(np.abs(Q - want)) <= limit * np.max(np.abs(want)), t
+            checked += 1
+        assert checked >= (200 if real else 590)
+
+    def test_unsettled_points(self):
+        on_cut = _from_roots(-1e-8 - 1.5j, 1j, 1e-8 + 0.5j)  # third root by the cut [e0, e1]
+        points = [(3.0, 1.0), (3.0 * (1.0 + 1e-10), 1.0), (24.0j, 16.0 - 16.0j),  # below DELTA_FLOOR
+                  on_cut, (math.nan, 1.0), (1.0, complex(0.0, math.inf)), (1e300, 1.0)]
+        Qs, settled = elliptic._carlson_matrices(points)
+        assert Qs.shape == (7, 2, 2) and not settled.any()
+        # the scalar route answers the point beside the cut by another pairing
+        Q = np.array(elliptic._carlson_matrix(on_cut))
+        assert abs(abs(np.linalg.det(Q)) - 2.0 * math.pi) < 1e-8
+
+    def test_no_points(self):
+        Qs, settled = elliptic._carlson_matrices([])
+        assert Qs.shape == (0, 2, 2) and settled.shape == (0,)
+        # a loop with no moving segment hands the kernel no points
+        loop = ParamPath([(4, 1j), (4, 1j)], discriminant=discriminant)
+        assert np.array_equal(gaussmanin.monodromy(loop).entries, np.eye(2))
+
+    @pytest.mark.parametrize("waypoints,error", [
+        # NearDiscriminant at the end corner of segment 1; (3, -1) is singular too
+        ([(4, 0), (4, 1j), (3, 1), (5, 0.5j), (3, -1)], NearDiscriminant),
+        # NearDiscriminant mid-segment, where t3 crosses sqrt(64/27)
+        ([(4, 0), (4, 1.0), (4, 2.0), (3, 1), (5, 1j)], NearDiscriminant),
+        # StepUnderflow on segment 2, passing both roots at 1e-13
+        ([(4, 0), (4, -2j), (4, -1e6 + 1e-13j), (4, 1e6 + 1e-13j), (3, 1)], StepUnderflow),
+    ], ids=["near-corner", "near-crossing", "underflow"])
+    def test_errors_as_scalar_route(self, monkeypatch, waypoints, error):
+        # the first pass settles later corners too, but the scan raises
+        # where the scalar route does, with the same message
+        waypoints = [[complex(u), complex(v)] for u, v in waypoints]
+        anchor = elliptic._anchor_matrix().tolist()
+        with pytest.raises(error) as got:
+            elliptic._continue_basis(waypoints, anchor)
+        monkeypatch.setattr(elliptic, "_carlson_matrices",  # nothing settled
+                            lambda pts: (np.zeros((len(pts), 2, 2)), np.zeros(len(pts), bool)))
+        with pytest.raises(error) as want:
+            elliptic._continue_basis(waypoints, anchor)
+        assert str(got.value) == str(want.value)
+
+
 def _close_to_frozen(got, ref):
     ref = np.array(ref)
     return np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
@@ -556,19 +645,20 @@ class TestHardPoints:
     def test_frozen_reference(self, t2, t3, ref):
         assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)
 
-    def test_carlson_matrix_calls(self, monkeypatch):
-        # the continuation's step schedule: Carlson matrices per point
+    def test_carlson_matrix_calls(self, carlson_work):
+        # the continuation's step schedule: distinct step points the scan
+        # reads, and the end corners and midpoints the kernel computes first
         elliptic._anchor_matrix()
-        calls = []
-        carlson = elliptic._carlson_matrix
-        monkeypatch.setattr(elliptic, "_carlson_matrix",
-                            lambda t: calls.append(t) or carlson(t))
-        counts = []
-        for t2, t3, _ in oracles.PERIODS_HARD:
-            calls.clear()
-            period_matrix((t2, t3))
-            counts.append(len(calls))
-        assert counts == [32, 28, 48, 101, 104, 147, 113, 114, 123, 119]
+        works = [carlson_work(lambda: period_matrix((t2, t3)))
+                 for t2, t3, _ in oracles.PERIODS_HARD]
+        assert [w.consulted for w in works] == [32, 28, 48, 101, 104, 147, 113, 114, 123, 119]
+        assert [w.computed for w in works] == [2, 2, 28, 52, 52, 52, 52, 52, 52, 52]
+        # each step point read is a settled kernel point or a scalar refinement
+        assert [w.consulted - w.scalar for w in works] == \
+            [w.computed - len(w.unused[0]) for w in works]
+        # the kernel's extra points are first-pass midpoints the scan never reads
+        assert [w.unused[0] for w in works] == [[], [], [], [29], [29], [3, 5, 29], [29], [29],
+                                                 [29, 31, 33], [29, 31, 33]]
 
     def test_no_ode_and_no_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):

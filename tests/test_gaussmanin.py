@@ -251,14 +251,12 @@ class TestWorkCounts:
         circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64, turns=2)
         assert len(calls) <= 385
 
-    def test_monodromy_carlson_matrix_calls(self, monkeypatch, unipotent_loop):
+    def test_monodromy_carlson_matrix_calls(self, carlson_work, unipotent_loop):
         gaussmanin.elliptic._anchor_matrix()
-        calls = []
-        carlson = gaussmanin.elliptic._carlson_matrix
-        monkeypatch.setattr(gaussmanin.elliptic, "_carlson_matrix",
-                            lambda t: calls.append(t) or carlson(t))
-        assert np.array_equal(monodromy(unipotent_loop).entries, oracles.M_LOOP)
-        assert len(calls) == 157
+        work = carlson_work(lambda: monodromy(unipotent_loop))
+        # Q0 and the step points of the two scans (basepoint path and loop)
+        assert 1 + work.consulted == 157
+        assert work.computed == work.consulted and work.unused == [[], []]
 
 
 class TestLoopCertificate:
