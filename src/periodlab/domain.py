@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedType, ValidationError
 from .hodge import HodgeFiltration, HodgeType, _hodge_numbers, projector
-from .numerics import _integer
+from .numerics import MAX_WEIGHT, _integer
 
 __all__ = [
     "HermitianCase",
@@ -188,6 +188,6 @@ def base_point(phi):
 
 
 def kodaira_spencer_count(n, d):
-    """Effective parameter count for degree-d hypersurfaces in P^(n+1)."""
-    n, d = _integer("n", n, 1), _integer("d", d, 1)
+    """Effective parameter count for degree-d hypersurfaces in P^(n+1), n and d up to MAX_WEIGHT."""
+    n, d = _integer("n", n, 1, MAX_WEIGHT), _integer("d", d, 1, MAX_WEIGHT)
     return math.comb(n + 1 + d, d) - (n + 2) ** 2

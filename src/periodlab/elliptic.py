@@ -11,12 +11,15 @@ roots -1, 0, 1 and the two rows are the cycles over the real segments
 row 1 over row 2) lies in the upper half plane and the determinant equals
 ``SIGMA * 2*pi*i``.  Every other parameter inherits its basis by continuation
 from the anchor along a default path that detours around the discriminant
-locus, passing a real root of a real segment above it.  Entry values are always Carlson closed forms (R_F, R_D) of cycles
-around cuts between branch points, at machine precision; the continuation
-only resolves the integer change of basis, by rounding ``T Q^-1`` from one
-step point to the next, and runs no ODE (one array pass computes Q at every
-corner and segment midpoint first).  The determinant check is fixed at 1e-7
-of the entry scale, so these routes take no tolerance.
+locus, passing a real root of a real segment above it.  Entry values are
+always Carlson closed forms (R_F, R_D) of the cycles around two cuts that
+meet at the root opposite the longest side of the root triangle, good to
+about eps / relative |Delta| (machine precision away from the discriminant;
+there the cut to a near-double root is known only that well).  The
+continuation only resolves the integer change of basis, by rounding
+``T Q^-1`` from one step point to the next, and runs no ODE (one array pass
+computes Q at every corner and segment midpoint first).  The determinant
+check is fixed at 1e-7 of the entry scale, so these routes take no tolerance.
 """
 
 from __future__ import annotations
@@ -203,26 +206,25 @@ def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):
     ``zeta = d / (e_a - e_c)``, the branch of
     ``y = 2 sqrt((x-e_a)(x-e_b)(x-e_c))`` is kept continuous by factoring it
     as ``sqrt(u) sqrt(d) sqrt(1-u) sqrt(-d) sqrt(e_a-e_c) sqrt(1+zeta u)``
-    with principal roots.  The u-integrals of ``1/sqrt(u(1-u)(1+zeta u))``
-    and ``u/sqrt(...)`` are ``2 R_F(0, 1, 1+zeta)`` and
-    ``(2/3) R_D(0, 1+zeta, 1)``; the cycle integral is twice the cut one.
-    Both are complete, so one AGM of 1 and ``sqrt(1+zeta)`` gives them
-    (``_complete_rf_rd``; DLMF 19.8(i), 19.22(ii)).
+    with principal roots, which needs the third root e_c off the cut (``1 +
+    zeta u`` off zero; ``_CUTS`` sees to it).  The u-integrals of
+    ``1/sqrt(u(1-u)(1+zeta u))`` and ``u/sqrt(...)`` are
+    ``2 R_F(0, 1, 1+zeta)`` and ``(2/3) R_D(0, 1+zeta, 1)``; the cycle
+    integral is twice the cut one.  Both are complete, so one AGM of 1 and
+    ``sqrt(1+zeta)`` gives them (``_complete_rf_rd``; DLMF 19.8(i), 19.22(ii)).
     """
     d = e_b - e_a
     ac = e_a - e_c
-    zeta = d / ac
-    # 1 + u*zeta traces the segment [1, 1 + zeta]; if it passes through the
-    # origin the third root sits on the cut and this pairing is unusable.
-    t_min = min(max(-zeta.real / max(abs(zeta) ** 2, 1e-300), 0.0), 1.0)
-    if abs(1.0 + t_min * zeta) < 1e-6:
-        raise NonConvergent("third branch point lies on the cut")
     pre = 2.0 * d / (cmath.sqrt(d) * cmath.sqrt(-d) * cmath.sqrt(ac))
-    rf, rd = _complete_rf_rd(1.0 + zeta)
+    rf, rd = _complete_rf_rd(1.0 + d / ac)
     return pre * rf, pre * (e_a * rf + d * rd / 3.0)
 
 
-_PAIRINGS = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
+# Root indices (a, b, c) of the two cuts [e_a, e_b] and [e_b, e_c], by the
+# index b of the root they share: the root opposite the longest side of the
+# root triangle.  Its angle is the largest, so the third root of either cut
+# stays at least sin 60 degrees times the smallest root gap off that cut.
+_CUTS = ((2, 0, 1), (0, 1, 2), (1, 2, 0))
 
 
 def _carlson_matrix(t):
@@ -233,32 +235,27 @@ def _carlson_matrix(t):
     depends on the root configuration, so callers needing the anchor basis
     must still align the rows.
     """
-    roots = [complex(e) for e in curve_roots(t)]
-    last_error: Exception | None = None
-    for (ia, ib, ic) in _PAIRINGS:
-        try:
-            row1 = _segment_cycle(roots[ia], roots[ib], roots[ic])
-            row2 = _segment_cycle(roots[ib], roots[ic], roots[ia])
-        except NonConvergent as exc:
-            last_error = exc
-            continue
-        det = row1[0] * row2[1] - row1[1] * row2[0]
-        size = max(abs(v) for v in row1 + row2)
-        if abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + size ** 2):
-            return row1, row2
-        last_error = NumericalError("cycle pair failed the determinant check")
-    raise NonConvergent(f"no usable branch-cut pairing: {last_error}")
+    e0, e1, e2 = roots = [complex(e) for e in curve_roots(t)]
+    l0, l1, l2 = abs(e1 - e2), abs(e0 - e2), abs(e0 - e1)  # the side opposite each root
+    ia, ib, ic = _CUTS[0 if l0 >= l1 and l0 >= l2 else 1 if l1 >= l2 else 2]
+    row1 = _segment_cycle(roots[ia], roots[ib], roots[ic])
+    row2 = _segment_cycle(roots[ib], roots[ic], roots[ia])
+    det = row1[0] * row2[1] - row1[1] * row2[0]
+    size = max(abs(v) for v in row1 + row2)
+    if not abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + size ** 2):
+        raise NonConvergent("the cut cycles failed the determinant check")
+    return row1, row2
 
 
 def _carlson_matrices(points):
     """``_carlson_matrix`` at each (t2, t3) row of ``points``, in one array pass.
 
-    Returns the (n, 2, 2) matrices of the first pairing and a mask of the
-    points settled.  Unsettled, for the scalar route to answer or raise: a
-    point the scalar route would raise at or answer by another pairing, a
-    non-finite entry, and two root real parts within rounding (the scalar
-    order is rounding's choice).  A settled row is the scalar one up to sign
-    (rounding picks the branch of a real cut) and the roots' rounding.
+    Returns the (n, 2, 2) matrices and a mask of the points settled: all
+    but those where ``_carlson_matrix`` raises (below ``DELTA_FLOOR``, a
+    non-finite entry, a failed determinant check).  A settled matrix is the
+    scalar one to the roots' rounding, up to the order and sign of its rows
+    (rounding orders tied real parts and picks the branch of a real cut), or
+    another pair of the same lattice where two sides of the root triangle tie.
     """
     t2, t3 = np.asarray(points, dtype=np.complex128).reshape(-1, 2).T[:, :, None]
     with np.errstate(all="ignore"):
@@ -272,17 +269,15 @@ def _carlson_matrices(points):
         for _ in range(2):
             x -= (4.0 * x * x * x - t2 * x - t3) / (12.0 * x * x - t2)
         e = np.sort(x)  # by (Re, Im)
-        settled &= np.diff(e.real).min(axis=1, keepdims=True) > \
-            1e-9 * abs(e).max(axis=1, keepdims=True)
-        # the two cuts [e0, e1] and [e1, e2], third roots e2 and e0
+        sides = abs(e[:, [1, 0, 0]] - e[:, [2, 2, 1]])  # the side opposite each root
+        e = np.take_along_axis(e, np.array(_CUTS)[sides.argmax(axis=1)], axis=1)
+        # the two cuts [e_a, e_b] and [e_b, e_c], third roots e_c and e_a
         e_a, d, ac = e[:, :2], e[:, 1:] - e[:, :2], e[:, :2] - e[:, [2, 0]]
-        zeta = d / ac
-        t_min = np.clip(-zeta.real / np.maximum(abs(zeta) ** 2, 1e-300), 0.0, 1.0)
-        settled = settled & (abs(1.0 + t_min * zeta) >= 1e-6)
-        w = 1.0 + zeta  # the AGM of _complete_rf_rd, per element
+        w = 1.0 + d / ac  # the AGM of _complete_rf_rd, per element
         a, g, c_sq = np.ones_like(w), np.sqrt(w), 1.0 - w
         ratio, series = np.ones_like(w), np.full_like(w, 0.5)
-        rf, rd, live = np.full_like(w, np.nan), np.full_like(w, np.nan), settled.copy()
+        rf, rd = np.full_like(w, np.nan), np.full_like(w, np.nan)
+        live = np.repeat(settled, 2, axis=1)
         for n in range(_CARLSON_MAX_STEPS):
             if not live.any():
                 break
@@ -300,7 +295,7 @@ def _carlson_matrices(points):
         pre = 2.0 * d / (np.sqrt(d) * np.sqrt(-d) * np.sqrt(ac))
         Qs = np.stack([pre * rf, pre * (e_a * rf + d * rd / 3.0)], axis=-1)
         det = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] * Qs[:, 1, 0]
-        settled = settled.all(axis=1) & np.isfinite(Qs).all(axis=(1, 2)) & \
+        settled = settled[:, 0] & np.isfinite(Qs).all(axis=(1, 2)) & \
             (abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + abs(Qs).max(axis=(1, 2)) ** 2))
     return Qs, settled
 
@@ -477,8 +472,11 @@ def _continue_basis(waypoints, T):
     continued matrix at the last waypoint, which is ``N Q`` there.
 
     Q at s = 1 and s = 0.5 of every segment comes from one
-    ``_carlson_matrices`` pass before the scan; other and unsettled step
-    points use ``_carlson_matrix``, which raises as an all-scalar scan would.
+    ``_carlson_matrices`` pass before the scan, on the cuts of
+    ``_carlson_matrix`` (its rows may differ in order and sign, to which the
+    rounding is blind, and where two sides of the root triangle tie, in the
+    pair).  Other step points, and the points the pass leaves unsettled, use
+    ``_carlson_matrix``, which raises there as an all-scalar scan would.
     """
     segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
                 if a != b]
@@ -521,10 +519,12 @@ def _continue_basis(waypoints, T):
 def period_matrix(t) -> PeriodMatrix2:
     """Period matrix of ``t`` in the basis continued from the anchor.
 
-    The entries are Carlson closed forms of two cut cycles at ``t``
-    (machine precision); the integer combination of them that is the
-    continued anchor basis comes from rounding along the default path (see
-    ``_continue_basis``).
+    The entries are Carlson closed forms of two cut cycles at ``t``, good
+    to about eps / relative |Delta|: machine precision away from the
+    discriminant, while two equally accurate root routes differ by 9.3e-13
+    relative at relative |Delta| 1e-4 and 1.6e-9 at 3e-8.  The integer
+    combination of them that is the continued anchor basis comes from
+    rounding along the default path (see ``_continue_basis``).
     """
     p = as_weierstrass(t)
     anchor = _anchor_matrix()

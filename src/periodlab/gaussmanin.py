@@ -151,9 +151,12 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     No ODE runs: the Carlson matrix ``Q0`` at the start is continued around
     the loop by integer rounding (``elliptic._continue_basis``, the route of
     ``period_matrix``; its one array pass covers every step point of a loop
-    whose steps all hold at h = 1), which ends at ``M_Q Q0`` with ``M_Q``
-    exact.  In the rows of ``P0`` the same monodromy is ``C M_Q C^-1`` with
-    ``C = P0 Q0^-1``; a ``P0`` that is no period matrix gives a non-integral
+    whose steps all hold at h = 1), which ends at ``M_Q Q0`` with ``M_Q`` an
+    integer matrix.  In the rows of ``P0`` the same monodromy is
+    ``C M_Q C^-1`` with ``C = P0 Q0^-1``; it is formed from the unrounded
+    ``T_end Q0^-1`` and rounded once, so the reported deviation measures both
+    whether the loop closed and the basis change.  A loop that does not
+    close, or a ``P0`` that is no period matrix, gives a non-integral
     result and ``NonIntegralMonodromy``.
     """
     _require_plane_path(loop)
@@ -168,10 +171,9 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     Q0 = np.array(elliptic._carlson_matrix(start))
     T_end = np.array(elliptic._continue_basis(loop.waypoints.tolist(), Q0.tolist()))
     Q0_inv = np.linalg.inv(Q0)
-    # T_end is M_Q times the very Q0 (the loop ends where it starts)
-    M_Q = np.round((T_end @ Q0_inv).real)
     C = P0 @ Q0_inv
-    M = C @ M_Q @ np.linalg.inv(C)
+    # T_end is M_Q times the very Q0 (the loop ends where it starts)
+    M = C @ (T_end @ Q0_inv) @ np.linalg.inv(C)
     try:
         M_int, deviation = nearest_integer_matrix(M, INTEGRALITY_TOL)
     except NonConvergent as exc:

@@ -205,12 +205,6 @@ class HodgeDecomposition:
                 )
         object.__setattr__(self, "pieces", tuple(cleaned))
 
-    def piece(self, p, q):
-        p, q = _integer("p", p), _integer("q", q)
-        if p + q != self.phi.m or not 0 <= q <= self.phi.m:
-            raise SizeMismatch(f"no piece ({p},{q}) in weight {self.phi.m}")
-        return self.pieces[q]
-
 
 def decomposition_from_filtration(filt):
     """Recover the decomposition as H^{p,q} = F^p intersect conj(F^q).

@@ -388,7 +388,8 @@ def _integer_det(a):
     return det * prev
 
 
-# Largest |weight| (the j-qexp cap): work grows with it; (c tau + d)^-n loses phase near 2^53.
+# Largest |weight| (the j-qexp cap) and ks-count n, d: work grows with it; (c tau + d)^-n
+# loses phase near 2^53, and binomial(2001, 1000) already has about 600 digits.
 MAX_WEIGHT = 1000
 
 

@@ -478,6 +478,12 @@ class TestDomainCommands:
         doc = run_json(capsys, "ks-count", "--n", "2", "--d", "4")
         assert doc["m"] == 19
 
+    def test_ks_count_past_the_size_bound_exits_2(self, capsys):
+        # binomial(20001, 10000) has more digits than json.dumps writes
+        code, out, err = run(capsys, "ks-count", "--n", "10000", "--d", "10000")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
 
 class TestPoincareCommand:
     def test_det_functional(self, capsys):

@@ -13,6 +13,7 @@ from periodlab.domain import (
 )
 from periodlab.errors import UnsupportedType, ValidationError
 from periodlab.hodge import HodgeType, decomposition_from_filtration, group_element_action
+from periodlab.numerics import MAX_WEIGHT
 
 import oracles
 
@@ -145,3 +146,10 @@ class TestKodairaSpencer:
 
     def test_quintic_threefolds(self):
         assert kodaira_spencer_count(3, 5) == 101
+
+    def test_size_bound(self):
+        # n and d up to MAX_WEIGHT: the count then has about 600 digits
+        assert len(str(kodaira_spencer_count(MAX_WEIGHT, MAX_WEIGHT))) == 601
+        for n, d in ((MAX_WEIGHT + 1, 3), (2, MAX_WEIGHT + 1), (10000, 10000)):
+            with pytest.raises(ValidationError, match=f"<= {MAX_WEIGHT}"):
+                kodaira_spencer_count(n, d)

@@ -532,7 +532,7 @@ class TestCurveRoots:
 class TestCarlsonCycles:
     def test_matches_quadrature_oracle(self):
         # the closed forms take the branch the quadrature integrand takes,
-        # so the cycles agree with no sign freedom at every pairing
+        # so the cycles agree with no sign freedom at every rotation
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 25:
@@ -541,7 +541,7 @@ class TestCarlsonCycles:
             if abs(discriminant((t2, t3))) < 1e-2 * (1 + abs(t2) ** 3 + abs(t3) ** 2):
                 continue
             roots = [complex(e) for e in curve_roots((t2, t3))]
-            for ia, ib, ic in elliptic._PAIRINGS:
+            for ia, ib, ic in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # each cut, third root off it
                 got = elliptic._segment_cycle(roots[ia], roots[ib], roots[ic])
                 want = oracles.oracle_segment_cycle(roots[ia], roots[ib], roots[ic])
                 scale = max(abs(w) for w in want)
@@ -568,11 +568,23 @@ def _from_roots(a, b, c):
     return (-4.0 * (a * b + b * c + c * a), 4.0 * a * b * c)
 
 
+def _cut_clearance(e_a, e_b, e_c):
+    """min over u in [0, 1] of |1 + u zeta|: how far e_c stays off the cut [e_a, e_b]."""
+    zeta = (e_b - e_a) / (e_a - e_c)
+    return abs(1.0 + min(max(-zeta.real / abs(zeta) ** 2, 0.0), 1.0) * zeta)
+
+
+def _basis_change(Q, want):
+    """The integer matrix U with Q = U want, to rounding."""
+    return np.round((Q @ np.linalg.inv(want)).real)
+
+
 class TestCarlsonKernel:
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_matches_scalar_route(self, real):
-        # settled rows agree with _carlson_matrix up to their sign, within
-        # the roots' own rounding: about eps over the relative discriminant
+        # settled rows agree with _carlson_matrix up to an integer change of
+        # basis, within the roots' own rounding: about eps over the relative
+        # discriminant
         rng = np.random.default_rng(41 + real)
         points = [(_log_uniform(rng, real), _log_uniform(rng, real)) for _ in range(400)]
         points += [_near_discriminant_point(rng, 10.0 ** rng.uniform(-7, -2), real)
@@ -584,26 +596,60 @@ class TestCarlsonKernel:
             if rel < elliptic.DELTA_FLOOR:
                 assert not ok
                 continue
-            # a real cubic with a conjugate pair has tied real parts
-            assert ok == (not real or discriminant(t).real > 0), t
-            if not ok:
-                continue
+            assert ok, t
             want = np.array(elliptic._carlson_matrix(t))
-            Q = Q * np.sign((Q[:, :1] / want[:, :1]).real)
+            U = _basis_change(Q, want)
             limit = 1e-13 + 10.0 * np.finfo(float).eps / rel
-            assert np.max(np.abs(Q - want)) <= limit * np.max(np.abs(want)), t
+            assert abs(round(np.linalg.det(U))) == 1, t
+            assert np.max(np.abs(Q - U @ want)) <= limit * np.max(np.abs(want)), t
             checked += 1
-        assert checked >= (200 if real else 590)
+        assert checked >= 590
+
+    def test_one_cut_rule(self, monkeypatch):
+        # both routes cut at the root opposite the longest side of the root
+        # triangle: the third root stays off each cut, the array pass picks
+        # the scalar route's cuts (in another row order and sign at most)
+        # unless two sides tie, and it settles exactly the points the
+        # scalar route answers
+        rng = np.random.default_rng(53)
+        points = [_from_roots(-1e-8 - 1.5j, 1j, 1e-8 + 0.5j)]  # a third root by one cut
+        for real in (False, True):
+            points += [(_log_uniform(rng, real), _log_uniform(rng, real)) for _ in range(600)]
+            points += [_near_discriminant_point(rng, 10.0 ** rng.uniform(-8, -2), real)
+                       for _ in range(500)]
+            points += [(0j, _log_uniform(rng, real)) for _ in range(50)]  # equilateral roots
+        cuts, segment_cycle = [], elliptic._segment_cycle
+        monkeypatch.setattr(elliptic, "_segment_cycle",
+                            lambda *e: cuts.append(e) or segment_cycle(*e))
+        Qs, settled = elliptic._carlson_matrices(points)
+        answered = 0
+        for t, Q, ok in zip(points, Qs, settled):
+            cuts.clear()
+            try:
+                want = np.array(elliptic._carlson_matrix(t))
+            except NumericalError:  # NearDiscriminant or outside the float range
+                assert not ok, t
+                continue
+            assert ok, t
+            answered += 1
+            assert min(_cut_clearance(*e) for e in cuts) >= 1e-6, t
+            U = np.abs(_basis_change(Q, want))
+            if not np.array_equal(U @ U.T, np.eye(2)):  # not a signed permutation
+                e = curve_roots(t)
+                sides = sorted([abs(e[1] - e[2]), abs(e[0] - e[2]), abs(e[0] - e[1])])
+                assert sides[2] - sides[1] <= 1e-12 * sides[2], t
+        assert answered >= 2000
 
     def test_unsettled_points(self):
         on_cut = _from_roots(-1e-8 - 1.5j, 1j, 1e-8 + 0.5j)  # third root by the cut [e0, e1]
         points = [(3.0, 1.0), (3.0 * (1.0 + 1e-10), 1.0), (24.0j, 16.0 - 16.0j),  # below DELTA_FLOOR
                   on_cut, (math.nan, 1.0), (1.0, complex(0.0, math.inf)), (1e300, 1.0)]
         Qs, settled = elliptic._carlson_matrices(points)
-        assert Qs.shape == (7, 2, 2) and not settled.any()
-        # the scalar route answers the point beside the cut by another pairing
-        Q = np.array(elliptic._carlson_matrix(on_cut))
-        assert abs(abs(np.linalg.det(Q)) - 2.0 * math.pi) < 1e-8
+        assert Qs.shape == (7, 2, 2) and settled.tolist() == [False] * 3 + [True] + [False] * 3
+        # both routes cut the point beside [e0, e1] elsewhere, the same way
+        want = np.array(elliptic._carlson_matrix(on_cut))
+        assert abs(abs(np.linalg.det(want)) - 2.0 * math.pi) < 1e-8
+        assert np.max(np.abs(Qs[3] - _basis_change(Qs[3], want) @ want)) <= 1e-13
 
     def test_no_points(self):
         Qs, settled = elliptic._carlson_matrices([])
@@ -651,7 +697,7 @@ class TestHardPoints:
         elliptic._anchor_matrix()
         works = [carlson_work(lambda: period_matrix((t2, t3)))
                  for t2, t3, _ in oracles.PERIODS_HARD]
-        assert [w.consulted for w in works] == [32, 28, 48, 101, 104, 147, 113, 114, 123, 119]
+        assert [w.consulted for w in works] == [32, 28, 48, 97, 104, 147, 113, 114, 123, 119]
         assert [w.computed for w in works] == [2, 2, 28, 52, 52, 52, 52, 52, 52, 52]
         # each step point read is a settled kernel point or a scalar refinement
         assert [w.consulted - w.scalar for w in works] == \

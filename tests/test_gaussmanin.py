@@ -233,6 +233,16 @@ class TestMonodromyRoutes:
         assert np.array_equal(got.entries, want)
         assert np.array_equal(got.entries, G @ oracles.M_LOOP @ np.linalg.inv(G).round())
 
+    def test_loop_that_does_not_close(self, monkeypatch, unipotent_loop):
+        # the end matrix is rounded once, with the basis change, so a
+        # continuation that misses M_Q Q0 by 0.01 is not rounded away
+        P0 = period_matrix(tuple(unipotent_loop.start))
+        continue_basis = gaussmanin.elliptic._continue_basis
+        monkeypatch.setattr(gaussmanin.elliptic, "_continue_basis",
+                            lambda w, T: (np.array(continue_basis(w, T)) + 0.01).tolist())
+        with pytest.raises(NonIntegralMonodromy):
+            monodromy(unipotent_loop, P0)
+
     @pytest.mark.parametrize("bad", [np.eye(3), np.full((2, 2), np.nan), np.ones((2, 2))],
                              ids=["shape", "nan", "singular"])
     def test_bad_basepoint_rejected(self, unipotent_loop, bad):

@@ -265,7 +265,7 @@ def _assert_kernel_matches_mpmath(ws):
 
 
 def _passes_cut_check(w):
-    """The test ``elliptic._segment_cycle`` puts on 1 + zeta = w."""
+    """1 + u zeta, zeta = w - 1, stays 1e-6 off zero on [0, 1]: the third root off the cut."""
     zeta = w - 1.0
     t_min = min(max(-zeta.real / abs(zeta) ** 2, 0.0), 1.0)
     return abs(1.0 + t_min * zeta) >= 1e-6
