@@ -17,9 +17,10 @@ meet at the root opposite the longest side of the root triangle, good to
 about eps / relative |Delta| (machine precision away from the discriminant;
 there the cut to a near-double root is known only that well).  The
 continuation only resolves the integer change of basis, by rounding
-``T Q^-1`` from one step point to the next, and runs no ODE (one array pass
-computes Q at every corner and segment midpoint first).  The determinant
-check is fixed at 1e-7 of the entry scale, so these routes take no tolerance.
+``T Q^-1`` from one step point to the next, and runs no ODE (array passes
+compute Q at every corner and segment midpoint, and round runs of unit
+steps).  The determinant check is fixed at 1e-7 of the entry scale, so
+these routes take no tolerance.
 """
 
 from __future__ import annotations
@@ -124,13 +125,23 @@ def as_weierstrass(t) -> WeierstrassPoint:
     return t if isinstance(t, WeierstrassPoint) else WeierstrassPoint(*_pair(t))
 
 
-def discriminant(t) -> complex:
-    """``t2**3 - 27 t3**2``, zero exactly on the singular members; finite or NumericalError."""
-    t2, t3 = _pair(t)
-    d = t2 * t2 * t2 - 27.0 * (t3 * t3)  # bitwise the powers, but inf where they raise
-    if not cmath.isfinite(d):
-        raise NumericalError(f"the discriminant at t=({t2}, {t3}) is outside the float range")
-    return d
+def discriminant(t):
+    """``t2**3 - 27 t3**2`` at one point, or at each row of an (m, 2) ndarray;
+    zero exactly on the singular members; finite or NumericalError."""
+    if isinstance(t, np.ndarray) and t.ndim == 2 and t.shape[1] == 2 and \
+            t.dtype.kind in "iufc" and np.isfinite(t).all():  # else _pair refuses it
+        t2, t3 = t.T.astype(np.complex128)
+        with np.errstate(all="ignore"):  # an overflow is a non-finite value
+            d = t2 * t2 * t2 - 27.0 * (t3 * t3)
+        if np.isfinite(d).all():
+            return d
+        t2, t3 = t[np.isfinite(d).argmin()]
+    else:
+        t2, t3 = _pair(t)
+        d = t2 * t2 * t2 - 27.0 * (t3 * t3)  # bitwise the powers, but inf where they raise
+        if cmath.isfinite(d):
+            return d
+    raise NumericalError(f"the discriminant at t=({t2}, {t3}) is outside the float range")
 
 
 def _delta_scale(p: WeierstrassPoint) -> float:
@@ -252,10 +263,11 @@ def _carlson_matrices(points):
 
     Returns the (n, 2, 2) matrices and a mask of the points settled: all
     but those where ``_carlson_matrix`` raises (below ``DELTA_FLOOR``, a
-    non-finite entry, a failed determinant check).  A settled matrix is the
-    scalar one to the roots' rounding, up to the order and sign of its rows
-    (rounding orders tied real parts and picks the branch of a real cut), or
-    another pair of the same lattice where two sides of the root triangle tie.
+    non-finite entry, a failed determinant check), whose matrices are NaN.
+    A settled matrix is the scalar one to the roots' rounding, up to the
+    order and sign of its rows (rounding orders tied real parts and picks
+    the branch of a real cut), or another pair of the same lattice where two
+    sides of the root triangle tie.
     """
     t2, t3 = np.asarray(points, dtype=np.complex128).reshape(-1, 2).T[:, :, None]
     with np.errstate(all="ignore"):
@@ -297,6 +309,7 @@ def _carlson_matrices(points):
         det = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] * Qs[:, 1, 0]
         settled = settled[:, 0] & np.isfinite(Qs).all(axis=(1, 2)) & \
             (abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + abs(Qs).max(axis=(1, 2)) ** 2))
+    Qs[~settled] = np.nan
     return Qs, settled
 
 
@@ -461,6 +474,51 @@ def _apply(N, Q):
             (n10 * q00 + n11 * q10, n10 * q01 + n11 * q11))
 
 
+# Integers below it multiply exactly in a float, so ``_unit_steps``'
+# unimodularity test is exact.
+_RUN_BOUND = 2.0 ** 26
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _unit_steps(N, Q, points):
+    """The Ns of the next segments that the scan, at ``T = _apply(N, Q)``,
+    takes in one h = 1 step each, given their Carlson matrices at s = 1 and
+    s = 0.5 alternating in ``points``.  Each N is predicted by rounding the
+    ratio of consecutive end matrices, chained in Python ints; one array pass
+    then checks the scan's three roundings (N, N_mid and the half-step N) on
+    every segment, by ``_integer_change``'s terms, gate and unimodularity."""
+    with np.errstate(all="ignore"):
+        adj = points[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJUGATE_SIGNS
+        det = (points[:, 0, 0] * points[:, 1, 1] - points[:, 0, 1] * points[:, 1, 0])[:, None, None]
+
+        def ratios(T, k):  # T Q^-1 of the stack T and points[k], term for term
+            return (T[:, :, :1] * adj[k, None, 0] + T[:, :, 1:] * adj[k, None, 1]) / det[k]
+
+        corners = np.concatenate([[Q], points[0::2]])
+        V = ratios(corners[:-1], slice(0, None, 2))
+        R = np.rint(V.real)
+        clean = (abs(V - R) < _ROUNDING_GATE).all(axis=(1, 2))
+        Ns = [N]
+        for R_i in R[:np.logical_and.accumulate(clean).sum()].astype(int).tolist():
+            if R_i != [[1, 0], [0, 1]]:  # mostly it is
+                N = _apply(N, R_i)
+                if max(map(abs, N[0] + N[1])) >= _RUN_BOUND:
+                    break
+            Ns.append(N)
+        r, chain = len(Ns) - 1, np.array(Ns, dtype=float)
+        # T at each segment start as _apply forms it; T Q^-1 at the end and
+        # the midpoint, and from N_mid Q_mid at the end
+        T = chain[:-1, :, :1] * corners[:r, None, 0] + chain[:-1, :, 1:] * corners[:r, None, 1]
+        V = ratios(T.repeat(2, axis=0), slice(0, 2 * r))
+        N_mid, mid = np.rint(V[1::2].real), points[1:2 * r:2]
+        T = N_mid[:, :, :1] * mid[:, None, 0] + N_mid[:, :, 1:] * mid[:, None, 1]
+        V = np.stack([V[0::2], ratios(T, slice(0, 2 * r, 2)), V[1::2]])
+        N = np.stack([chain[1:], chain[1:], N_mid])
+        ok = ((abs(V - N) < _ROUNDING_GATE) & (abs(N) < _RUN_BOUND)).all(axis=(0, 2, 3)) & \
+            (abs(N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0]) == 1.0).all(axis=0)
+    return Ns[1:1 + np.logical_and.accumulate(ok).sum()]
+
+
 def _continue_basis(waypoints, T):
     """Carry the cycle basis of ``T`` along a polygon by integer rounding.
 
@@ -477,13 +535,18 @@ def _continue_basis(waypoints, T):
     rounding is blind, and where two sides of the root triangle tie, in the
     pair).  Other step points, and the points the pass leaves unsettled, use
     ``_carlson_matrix``, which raises there as an all-scalar scan would.
+    After a segment taken in one h = 1 step, ``_unit_steps`` takes, in one
+    array pass, the next segments that the scan would take so too, with the
+    same N; the scan goes on from the first one it leaves.
     """
     segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
                 if a != b]
     first = [pt for _, a, b in segments for pt in (b, [u + 0.5 * (v - u) for u, v in zip(a, b)])]
-    Qs, settled = (arr.tolist() for arr in _carlson_matrices(first))
-    h = 1.0
-    for j, (k, a, b) in enumerate(segments):
+    Q_first, settled = _carlson_matrices(first)
+    Qs, settled = Q_first.tolist(), settled.tolist()
+    h, j = 1.0, 0
+    while j < len(segments):
+        k, a, b = segments[j]
         # a rejected step's midpoint is the next step's end
         cache = {s: Qs[i] for s, i in ((1.0, 2 * j), (0.5, 2 * j + 1)) if settled[i]}
 
@@ -493,7 +556,7 @@ def _continue_basis(waypoints, T):
                 cache[s] = _carlson_matrix(pt)
             return cache[s]
 
-        s = 0.0
+        s, whole = 0.0, None
         while s < 1.0:
             h = min(h, 1.0 - s)
             if h < _STEP_FLOOR:
@@ -508,11 +571,16 @@ def _continue_basis(waypoints, T):
                 N_mid = _integer_change(T, Q_mid)
                 if N_mid is not None and \
                         _integer_change(_apply(N_mid, Q_mid), Q_end) == N:
-                    T = _apply(N, Q_end)
+                    T, whole = _apply(N, Q_end), (N, Q_end) if h == 1.0 else None
                     s = end
                     h *= 2.0
                     continue
             h *= 0.5
+        j += 1
+        if whole and j < len(segments):
+            Ns = _unit_steps(*whole, Q_first[2 * j:])
+            j += len(Ns)
+            T = _apply(Ns[-1], Qs[2 * j - 2]) if Ns else T
     return T
 
 

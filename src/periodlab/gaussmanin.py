@@ -150,14 +150,15 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
 
     No ODE runs: the Carlson matrix ``Q0`` at the start is continued around
     the loop by integer rounding (``elliptic._continue_basis``, the route of
-    ``period_matrix``; its one array pass covers every step point of a loop
-    whose steps all hold at h = 1), which ends at ``M_Q Q0`` with ``M_Q`` an
-    integer matrix.  In the rows of ``P0`` the same monodromy is
-    ``C M_Q C^-1`` with ``C = P0 Q0^-1``; it is formed from the unrounded
-    ``T_end Q0^-1`` and rounded once, so the reported deviation measures both
-    whether the loop closed and the basis change.  A loop that does not
-    close, or a ``P0`` that is no period matrix, gives a non-integral
-    result and ``NonIntegralMonodromy``.
+    ``period_matrix``; on a loop whose steps all hold at h = 1, one array pass
+    computes every step point and one rounds all segments after the first),
+    which ends at ``M_Q Q0`` with ``M_Q`` an integer matrix.  In the rows of
+    ``P0`` the same monodromy is ``C M_Q C^-1`` with ``C = P0 Q0^-1``; it is
+    formed from the unrounded ``T_end Q0^-1`` and rounded once, so the
+    reported deviation measures both whether the loop closed and the basis
+    change.  A loop that does not close, or a ``P0`` that is no period
+    matrix, gives a non-integral (or non-finite) result and
+    ``NonIntegralMonodromy``.
     """
     _require_plane_path(loop)
     if not loop.is_closed():
@@ -166,14 +167,15 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     if basepoint_periods is None:
         basepoint_periods = elliptic.period_matrix(start)
     P0 = np.asarray(getattr(basepoint_periods, "entries", basepoint_periods), dtype=complex)
-    if P0.shape != (2, 2) or not np.all(np.isfinite(P0)) or np.linalg.det(P0) == 0:
+    if P0.shape != (2, 2) or not np.all(np.isfinite(P0)) or np.linalg.slogdet(P0)[0] == 0:
         raise ValidationError("basepoint periods must be a finite invertible 2x2 matrix")
     Q0 = np.array(elliptic._carlson_matrix(start))
     T_end = np.array(elliptic._continue_basis(loop.waypoints.tolist(), Q0.tolist()))
     Q0_inv = np.linalg.inv(Q0)
-    C = P0 @ Q0_inv
-    # T_end is M_Q times the very Q0 (the loop ends where it starts)
-    M = C @ (T_end @ Q0_inv) @ np.linalg.inv(C)
+    with np.errstate(all="ignore"):  # a P0 far from a period matrix may overflow M
+        C = P0 @ Q0_inv
+        # T_end is M_Q times the very Q0 (the loop ends where it starts)
+        M = C @ (T_end @ Q0_inv) @ np.linalg.inv(C)
     try:
         M_int, deviation = nearest_integer_matrix(M, INTEGRALITY_TOL)
     except NonConvergent as exc:

@@ -9,7 +9,8 @@ refused) and ``_positive`` (positive and finite) read every scalar argument of t
 ``ParamPath`` certifies a path against a discriminant hook that is a
 polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
 is): the cubic through 4 samples per segment gives a lower bound on
-|discriminant| from its roots, exact up to the rounding of the samples.
+|discriminant| from its roots, exact up to the rounding of the samples
+(one hook call takes the stack of all of them).
 
 ``integrate_linear_ode(rhs, path, Y0)`` transports a square complex matrix
 along a piecewise-linear path under ``dY = Y A(t)^T dt``, ``A = rhs(point,
@@ -103,14 +104,15 @@ class ParamPath:
         path in C^1.  Consecutive duplicates are allowed and skipped during
         integration.
     discriminant : callable, optional
-        Map from a point of C^s to a complex number that is a polynomial of
-        degree at most 3 along every straight segment.  When supplied, the
-        cubic through 4 samples per segment gives ``clearance``, the least
-        over the segments of |lead| * prod dist(root, [0, 1]) less any
+        Map from an (m, s) stack of points of C^s to m complex numbers, a
+        polynomial of degree at most 3 along every straight segment.  When
+        supplied, the cubic through 4 samples per segment gives ``clearance``,
+        the least over the segments of |lead| * prod dist(root, [0, 1]) less any
         dropped noise coefficients: a lower bound on |discriminant| along
-        the path up to the rounding of the samples (3n + 1 hook calls for n
-        segments), or |discriminant| at the one point of a path that never
-        moves.  A bound that is not positive raises ``ClearanceViolation``.
+        the path up to the rounding of the samples (one hook call on the 3n + 1
+        samples of n segments), or |discriminant| at the one point of a path
+        that never moves.  A bound that is not positive raises
+        ``ClearanceViolation``, values of another shape ``ValidationError``.
     """
 
     def __init__(self, waypoints, discriminant=None):
@@ -131,8 +133,10 @@ class ParamPath:
         n = len(starts)
         # the corners, each segment's s = 1 sample being the next one's s = 0
         # sample, then the s = 1/3 and s = 2/3 samples
-        points = [starts, pts[-1:]] + [starts + u * velocity for u in _CUBIC_NODES[1:3]]
-        samples = np.array([discriminant(p) for p in np.vstack(points)], dtype=np.complex128)
+        points = np.vstack([starts, pts[-1:]] + [starts + u * velocity for u in _CUBIC_NODES[1:3]])
+        samples = np.asarray(discriminant(points), dtype=np.complex128)
+        if samples.shape != (len(points),):
+            raise ValidationError(f"hook gave shape {samples.shape} for {len(points)} points")
         if not np.all(np.isfinite(samples)):
             return float("nan")
         if not n:
@@ -349,12 +353,14 @@ def nearest_integer_matrix(M, tol: float):
     want a more specific error catch and rethrow.
     """
     M, tol = np.asarray(M, dtype=np.complex128), _positive("tol", tol)
-    N = np.round(M.real).astype(np.int64)
-    deviation = float(np.max(np.abs(M - N)))
-    if deviation > tol:
-        raise NonConvergent(
-            f"matrix is not integral: deviation {deviation:.3e} > {tol:.3e}")
-    return N, deviation
+    N = np.round(M.real)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        deviation = float(np.max(np.abs(M - N)))
+    if not deviation <= tol:  # also a nan deviation
+        raise NonConvergent(f"matrix is not integral: deviation {deviation:.3e} > {tol:.3e}")
+    if not np.all(np.abs(N) <= 2.0 ** 53):
+        raise NonConvergent("matrix entries are past the exact integers of a float")
+    return N.astype(np.int64), deviation
 
 
 def exact_integers(values, error, what):

@@ -6,7 +6,9 @@ digits), single cut cycles from Gauss-Legendre quadrature of the
 integrand (the package's Carlson closed forms are what they check),
 cubic roots from numpy's companion-matrix eigenvalues, monodromy from
 the package's ODE transport (``transport_entries``, which the Carlson
-continuation of ``monodromy`` does not use), j from mpmath's kleinj,
+continuation of ``monodromy`` does not use), the basis continuation from
+a scan that takes every segment step by step (no ``_unit_steps`` array
+pass), j from mpmath's kleinj,
 Eisenstein values from naive truncated double sums or from an mpmath
 Lambert series at the unreduced tau, Hurwitz zeta tails from direct
 sums (in mpmath for complex starts), the classical Poincare series from a
@@ -21,7 +23,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from periodlab import poincare
+from periodlab import elliptic, poincare
 from periodlab.gaussmanin import transport_entries
 from periodlab.numerics import nearest_integer_matrix, quad_sqrt_singular
 
@@ -110,6 +112,50 @@ def oracle_clearance(path, discriminant):
         dist = np.abs(roots - np.clip(roots.real, 0.0, 1.0))
         worst = min(worst, abs(coeffs[first]) * np.prod(dist) - size[:first].sum())
     return worst
+
+
+def oracle_continue_basis(waypoints, T):
+    """``elliptic._continue_basis`` as one scalar scan: every accepted step,
+    whole segments included, makes its three ``_integer_change`` roundings.
+
+    It reads the same Carlson matrices (the one ``_carlson_matrices`` pass,
+    then ``_carlson_matrix``), so the two agree exactly, result and error.
+    """
+    segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
+                if a != b]
+    first = [pt for _, a, b in segments for pt in (b, [u + 0.5 * (v - u) for u, v in zip(a, b)])]
+    Qs, settled = (arr.tolist() for arr in elliptic._carlson_matrices(first))
+    h = 1.0
+    for j, (k, a, b) in enumerate(segments):
+        cache = {s: Qs[i] for s, i in ((1.0, 2 * j), (0.5, 2 * j + 1)) if settled[i]}
+
+        def carlson_at(s):
+            if s not in cache:
+                pt = b if s == 1.0 else [u + s * (v - u) for u, v in zip(a, b)]
+                cache[s] = elliptic._carlson_matrix(pt)
+            return cache[s]
+
+        s = 0.0
+        while s < 1.0:
+            h = min(h, 1.0 - s)
+            if h < elliptic._STEP_FLOOR:
+                raise elliptic.StepUnderflow(
+                    f"continuation step {h:.3e} below floor {elliptic._STEP_FLOOR:.3e} "
+                    f"at s={s} of segment {k} on the path to t={waypoints[-1]}")
+            end = 1.0 if h == 1.0 - s else s + h
+            Q_end = carlson_at(end)
+            N = elliptic._integer_change(T, Q_end)
+            if N is not None:
+                Q_mid = carlson_at(s + 0.5 * h)
+                N_mid = elliptic._integer_change(T, Q_mid)
+                if N_mid is not None and \
+                        elliptic._integer_change(elliptic._apply(N_mid, Q_mid), Q_end) == N:
+                    T = elliptic._apply(N, Q_end)
+                    s = end
+                    h *= 2.0
+                    continue
+            h *= 0.5
+    return T
 
 
 def oracle_monodromy_ode(loop, P0):

@@ -344,15 +344,41 @@ class TestPathCertificate:
         lambda: default_path(oracles.PERIODS_HARD[0][:2]),
         lambda: gaussmanin.circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64),
     ], ids=["default-path", "64-gon"])
-    def test_four_hook_calls_per_segment(self, make):
+    def test_one_hook_call_per_path(self, make):
         calls = []
 
         def hook(p):
-            calls.append(p)
+            calls.append(p.shape)
             return discriminant(p)
 
         path = numerics.ParamPath(make().waypoints, discriminant=hook)
-        assert len(calls) <= 4 * len(list(path.segments()))
+        assert calls == [(3 * len(list(path.segments())) + 1, 2)]
+
+    def test_stacked_discriminant(self):
+        # the stack takes the same expression as one point, in numpy arithmetic
+        rng = np.random.default_rng(61)
+        for real in (False, True):
+            points = np.array([(_log_uniform(rng, real), _log_uniform(rng, real))
+                               for _ in range(500)] + [(3.0, 1.0), (0.0, 0.0)])
+            got = discriminant(points)
+            want = np.array([discriminant(t) for t in points])
+            assert got.shape == (502,) and np.array_equal(got[-2:], [0.0, 0.0])
+            scale = np.abs(points[:, 0]) ** 3 + 27.0 * np.abs(points[:, 1]) ** 2
+            assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
+        assert discriminant(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("stack,error", [
+        ([[1.0, 0.0], [1e300, 0.0]], NumericalError),
+        ([[0.0, 2.1e153 * (1 + 1j)]], NumericalError),
+        ([[1.0, 0.0], [math.inf, 0.0]], ValidationError),
+        ([[1.0, 0.0, 0.0]], ValidationError),
+        ([["1", "0"]], ValidationError),
+    ], ids=["t2-overflow", "t3-overflow", "inf", "three-columns", "strings"])
+    def test_stacked_discriminant_refused(self, stack, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                discriminant(np.array(stack))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fixed_t2_loops(self, seed):
@@ -646,6 +672,7 @@ class TestCarlsonKernel:
                   on_cut, (math.nan, 1.0), (1.0, complex(0.0, math.inf)), (1e300, 1.0)]
         Qs, settled = elliptic._carlson_matrices(points)
         assert Qs.shape == (7, 2, 2) and settled.tolist() == [False] * 3 + [True] + [False] * 3
+        assert np.isnan(Qs[~settled]).all()
         # both routes cut the point beside [e0, e1] elsewhere, the same way
         want = np.array(elliptic._carlson_matrix(on_cut))
         assert abs(abs(np.linalg.det(want)) - 2.0 * math.pi) < 1e-8
@@ -674,10 +701,78 @@ class TestCarlsonKernel:
         with pytest.raises(error) as got:
             elliptic._continue_basis(waypoints, anchor)
         monkeypatch.setattr(elliptic, "_carlson_matrices",  # nothing settled
-                            lambda pts: (np.zeros((len(pts), 2, 2)), np.zeros(len(pts), bool)))
+                            lambda pts: (np.full((len(pts), 2, 2), np.nan), np.zeros(len(pts), bool)))
         with pytest.raises(error) as want:
             elliptic._continue_basis(waypoints, anchor)
         assert str(got.value) == str(want.value)
+
+
+def _spy_unit_steps(monkeypatch):
+    """Record, per ``_unit_steps`` call, how many segments it was offered and took."""
+    calls, unit_steps = [], elliptic._unit_steps
+
+    def spy(N, Q, points):
+        Ns = unit_steps(N, Q, points)
+        calls.append((len(points) // 2, len(Ns)))
+        return Ns
+
+    monkeypatch.setattr(elliptic, "_unit_steps", spy)
+    return calls
+
+
+def _both_scans(waypoints, T):
+    """The continued matrix, or the error class and message, of both scans."""
+    results = []
+    for scan in (elliptic._continue_basis, oracles.oracle_continue_basis):
+        try:
+            results.append(scan(waypoints, T))
+        except NumericalError as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+class TestUnitSteps:
+    @pytest.mark.parametrize("t2,t3", [(t2, t3) for t2, t3, _ in oracles.PERIODS_HARD],
+                             ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
+    def test_default_paths_as_scalar_scan(self, monkeypatch, t2, t3):
+        calls = _spy_unit_steps(monkeypatch)
+        waypoints = default_path((t2, t3)).waypoints.tolist()
+        got, want = _both_scans(waypoints, elliptic._anchor_matrix().tolist())
+        assert got == want
+        assert sum(taken for _, taken in calls) > 0 or len(waypoints) == 2  # the pinned points
+
+    def test_run_cut_by_an_unsettled_point(self, monkeypatch):
+        # the kernel leaves the end of segment 20 and the midpoint of
+        # segment 40 of the loop unsettled; the scan computes them itself,
+        # and the array pass takes the runs between
+        kernel = elliptic._carlson_matrices
+
+        def cut_kernel(points):
+            Qs, settled = kernel(points)
+            Qs[[40, 81]], settled[[40, 81]] = np.nan, False
+            return Qs, settled
+
+        monkeypatch.setattr(elliptic, "_carlson_matrices", cut_kernel)
+        calls = _spy_unit_steps(monkeypatch)
+        waypoints = gaussmanin.circle_loop(4.0, oracles.T3_ROOT, 0.6).waypoints.tolist()
+        Q0 = np.array(elliptic._carlson_matrix(waypoints[0])).tolist()
+        got, want = _both_scans(waypoints, Q0)
+        assert got == want
+        # offered the rest of the loop each time, it takes segments 1-19, 21-39 and 41-63
+        assert calls == [(63, 19), (43, 19), (23, 23)]
+
+    @pytest.mark.parametrize("waypoints", [
+        # twelve unit steps, then a singular corner and one more segment
+        [(4, 2j + 0.5 * cmath.exp(1j * a)) for a in np.linspace(0, 2, 13)] + [(3, 1), (5, 1j)],
+        # a run of unit steps, then a segment through the locus (t3 = sqrt(64/27))
+        [(4, 0.1j * k) for k in range(12)] + [(4, 1.1j), (4, 2.0), (4, 1.0), (4, 1j)],
+    ], ids=["singular-corner", "crossing"])
+    def test_errors_as_scalar_scan(self, monkeypatch, waypoints):
+        calls = _spy_unit_steps(monkeypatch)
+        waypoints = [[complex(u), complex(v)] for u, v in waypoints]
+        got, want = _both_scans(waypoints, elliptic._anchor_matrix().tolist())
+        assert got == want and issubclass(got[0], NumericalError)
+        assert sum(taken for _, taken in calls) > 0
 
 
 def _close_to_frozen(got, ref):

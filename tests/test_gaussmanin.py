@@ -212,6 +212,22 @@ class TestMonodromyRoutes:
         if enclosed == 0:
             assert np.array_equal(got.entries, np.eye(2))
 
+    @pytest.mark.parametrize("enclosed", [0, 1, 2])
+    @pytest.mark.parametrize("turns", [1, -1, 2, -2])
+    def test_continuation_matches_scalar_scan(self, monkeypatch, enclosed, turns):
+        # runs of unit steps go through one array pass, and the continued
+        # matrix is still the step-by-step scan's, bit for bit
+        rng = np.random.default_rng(500 + 10 * enclosed + turns)
+        t2, center, radius = seeded_circle(rng, enclosed, real_t2=turns > 0)
+        waypoints = circle_loop(t2, center, radius, turns).waypoints.tolist()
+        Q0 = np.array(gaussmanin.elliptic._carlson_matrix(waypoints[0])).tolist()
+        taken, unit_steps = [], gaussmanin.elliptic._unit_steps
+        monkeypatch.setattr(gaussmanin.elliptic, "_unit_steps",
+                            lambda *args: taken.append(len(Ns := unit_steps(*args))) or Ns)
+        got = gaussmanin.elliptic._continue_basis(waypoints, Q0)
+        assert got == oracles.oracle_continue_basis(waypoints, Q0)
+        assert sum(taken) > 0
+
     def test_no_ode(self, monkeypatch, unipotent_loop):
         def forbidden(*args, **kwargs):
             raise AssertionError("monodromy must not call this")
@@ -243,6 +259,16 @@ class TestMonodromyRoutes:
         with pytest.raises(NonIntegralMonodromy):
             monodromy(unipotent_loop, P0)
 
+    @pytest.mark.parametrize("P0", [[[1e300, 1e300], [0.0, 1e-300]], 1e200 * np.eye(2)],
+                             ids=["unit-determinant", "scaled"])
+    def test_far_basepoint_refused(self, unipotent_loop, P0):
+        # finite and invertible but no period matrix: M leaves the float
+        # range, or the determinant of P0 itself does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonIntegralMonodromy):
+                monodromy(unipotent_loop, P0)
+
     @pytest.mark.parametrize("bad", [np.eye(3), np.full((2, 2), np.nan), np.ones((2, 2))],
                              ids=["shape", "nan", "singular"])
     def test_bad_basepoint_rejected(self, unipotent_loop, bad):
@@ -254,12 +280,12 @@ class TestMonodromyRoutes:
 
 class TestWorkCounts:
     def test_loop_hook_calls(self, monkeypatch):
-        # 128 sides: 3 samples each plus the closing point
+        # one call on the samples of 128 sides: 3 each plus the closing point
         calls = []
         monkeypatch.setattr(gaussmanin.elliptic, "discriminant",
-                            lambda p: calls.append(p) or discriminant(p))
+                            lambda p: calls.append(p.shape) or discriminant(p))
         circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64, turns=2)
-        assert len(calls) <= 385
+        assert calls == [(385, 2)]
 
     def test_monodromy_carlson_matrix_calls(self, carlson_work, unipotent_loop):
         gaussmanin.elliptic._anchor_matrix()
@@ -267,6 +293,9 @@ class TestWorkCounts:
         # Q0 and the step points of the two scans (basepoint path and loop)
         assert 1 + work.consulted == 157
         assert work.computed == work.consulted and work.unused == [[], []]
+        # the array pass takes the 13 segments after the first of the
+        # basepoint's default path, and the 63 after the first of the loop
+        assert work.unit_segments == 76
 
 
 class TestLoopCertificate:

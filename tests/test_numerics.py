@@ -54,7 +54,7 @@ class TestParamPath:
         assert square.is_closed()
 
     def test_clearance_certificate(self):
-        disc = lambda p: p[0]
+        disc = lambda p: p[:, 0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             path = ParamPath([[1.0], [2.0]], discriminant=disc)
@@ -62,25 +62,35 @@ class TestParamPath:
             with pytest.raises(ClearanceViolation):
                 ParamPath([[-1.0], [1.0]], discriminant=disc)
 
-    @pytest.mark.parametrize("hook", [lambda p: complex("nan"), lambda p: complex("inf"),
-                                      lambda p: 0.0,
-                                      lambda p: complex("inf") if p[0] == 2.0 else 1.0],
+    @pytest.mark.parametrize("hook", [lambda p: np.full(len(p), complex("nan")),
+                                      lambda p: np.full(len(p), complex("inf")),
+                                      lambda p: np.zeros(len(p)),
+                                      lambda p: np.where(p[:, 0] == 2.0, complex("inf"), 1.0)],
                              ids=["nan", "inf", "zero", "inf-at-a-waypoint"])
     def test_nonfinite_or_zero_samples_rejected(self, hook):
         for waypoints in ([[1.0], [2.0], [3.0]], [[2.0], [2.0]]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ClearanceViolation):
-                    ParamPath(waypoints, discriminant=lambda p: complex(hook(p)))
+                    ParamPath(waypoints, discriminant=hook)
+
+    @pytest.mark.parametrize("hook", [lambda p: complex(p[0, 0]), lambda p: p,
+                                      lambda p: p[1:, 0], lambda p: [p[:, 0]]],
+                             ids=["scalar", "stack", "one-short", "nested"])
+    def test_hook_of_wrong_shape_rejected(self, hook):
+        # the hook maps the (m, s) stack of samples to m numbers
+        for waypoints in ([[1.0], [2.0], [3.0]], [[2.0], [2.0]], [[1.0, 0.5], [2.0, 0.5]]):
+            with pytest.raises(ValidationError, match="shape"):
+                ParamPath(waypoints, discriminant=hook)
 
     def test_clearance_bounds_a_cubic(self):
         # (s - 0.5 - 0.01i)(s + 2)(s - 3) on [0, 1]: the bound is |lead|
         # times the distances 0.01, 2 and 2 of the roots from [0, 1]
-        disc = lambda p: (p[0] - 0.5 - 0.01j) * (p[0] + 2.0) * (p[0] - 3.0)
+        disc = lambda p: (p[:, 0] - 0.5 - 0.01j) * (p[:, 0] + 2.0) * (p[:, 0] - 3.0)
         path = ParamPath([[0.0], [1.0]], discriminant=disc)
         assert path.clearance == pytest.approx(0.04, rel=1e-12)
         s = np.linspace(0.0, 1.0, 20001)
-        assert path.clearance <= np.abs(disc([s])).min()
+        assert path.clearance <= np.abs(disc(s[:, None])).min()
 
 
 class TestQuadrature:
@@ -253,6 +263,17 @@ class TestNearestInteger:
     def test_rejects_far_matrix(self):
         with pytest.raises(NonConvergent):
             nearest_integer_matrix(np.array([[0.4]]), 1e-4)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(1.0, math.nan), 1e300,
+                                       -2.0 ** 60],
+                             ids=["nan", "inf", "nan-imag", "huge", "past-2^53"])
+    def test_rejects_what_no_int64_holds(self, entry):
+        # a nan deviation is never above tol, and a cast of nan, inf or 1e300
+        # gives -2^63 with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent):
+                nearest_integer_matrix(np.array([[1.0, entry], [0.0, 1.0]]), 1e-4)
 
 
 def _assert_kernel_matches_mpmath(ws):
