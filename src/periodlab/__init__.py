@@ -4,10 +4,11 @@ and the surrounding modular / Hodge-theoretic machinery.
 The pieces fit together as follows: ``elliptic`` computes period
 matrices of y^2 = 4x^3 - t2 x - t3 from Carlson's symmetric integrals,
 with the cycle basis continued from an anchor along ``default_path`` by
-integer rounding, ``gaussmanin`` moves them around parameter space by
-integrating the Gauss-Manin connection (``connection_matrix`` is the
-right-hand side of ``numerics.integrate_linear_ode``) and gives the
-monodromy of loops by the same continuation, ``modular`` inverts the
+the braid of the curve's roots, ``gaussmanin`` moves them around
+parameter space by integrating the Gauss-Manin connection
+(``connection_matrix`` is the right-hand side of
+``numerics.integrate_linear_ode``) and gives the monodromy of loops by
+the same continuation, ``modular`` inverts the
 construction through Eisenstein series and j, ``hodge`` and ``domain``
 handle the linear-algebra side (filtrations, Riemann relations, period
 domain dimensions), and ``poincare`` averages functionals over the

@@ -16,11 +16,14 @@ always Carlson closed forms (R_F, R_D) of the cycles around two cuts that
 meet at the root opposite the longest side of the root triangle, good to
 about eps / relative |Delta| (machine precision away from the discriminant;
 there the cut to a near-double root is known only that well).  The
-continuation only resolves the integer change of basis, by rounding
-``T Q^-1`` from one step point to the next, and runs no ODE (array passes
-compute Q at every corner and segment midpoint, and round runs of unit
-steps).  The determinant check is fixed at 1e-7 of the entry scale, so
-these routes take no tolerance.
+continuation only resolves the integer change of basis, from the braid the
+three roots trace along the path, and runs no ODE: steps certified by
+Rouche's theorem keep each root in its own disk, roots are ordered along
+the direction e^(0.3i), and each swap of two adjacent roots is a
+Picard-Lefschetz half twist of the ordered cut-cycle basis (``_braid``).
+The rounding to the Carlson basis at the end point is fixed at 0.25 and
+the determinant check at 1e-7 of the entry scale, so these routes take no
+tolerance.
 """
 
 from __future__ import annotations
@@ -38,12 +41,11 @@ from .errors import (
     NonConvergent,
     NumericalError,
     RealTau,
-    StepUnderflow,
     ValidationError,
     ZeroT0,
 )
-from .numerics import (_CARLSON_MAX_STEPS, ParamPath, _complete_rf_rd, _float_range, _number,
-                       _positive, _trimmed_roots)
+from .numerics import (ParamPath, _complete_rf_rd, _float_range, _number, _positive,
+                       _trimmed_roots, nearest_integer_matrix)
 # Not called here: perfbench/tracer.py wraps it by this module's name.
 from .numerics import quad_sqrt_singular  # noqa: F401
 
@@ -179,8 +181,9 @@ _CUBE_ROOTS_OF_ONE = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)),
                       complex(-0.5, -0.5 * math.sqrt(3.0)))
 
 
-def curve_roots(t) -> np.ndarray:
-    """Roots of ``4x^3 - t2 x - t3``, Newton-polished, sorted by (Re, Im).
+def _roots(p: WeierstrassPoint) -> list[complex]:
+    """The roots of ``4x^3 - t2 x - t3`` at ``p``, unsorted; NearDiscriminant
+    below ``DELTA_FLOOR``.
 
     Cardano on ``x^3 + P x + Q`` with ``P = -t2/4``, ``Q = -t3/4``: the
     sign of the square root is the one that keeps ``-Q/2 +- sqrt(Q^2/4 +
@@ -190,7 +193,6 @@ def curve_roots(t) -> np.ndarray:
     ``DELTA_FLOOR`` the roots stay at least about 3e-5 (1 + max|e|) apart,
     so Newton's derivative stays away from zero.
     """
-    p = as_weierstrass(t)
     _require_away_from_discriminant(p)
     t2, t3 = p.t2, p.t3
     P, Q = -0.25 * t2, -0.25 * t3
@@ -206,27 +208,34 @@ def curve_roots(t) -> np.ndarray:
         for _ in range(2):
             x -= (4.0 * x * x * x - t2 * x - t3) / (12.0 * x * x - t2)
         roots.append(x)
+    return roots
+
+
+def curve_roots(t) -> np.ndarray:
+    """Roots of ``4x^3 - t2 x - t3``, Newton-polished, sorted by (Re, Im)."""
+    roots = _roots(as_weierstrass(t))
     roots.sort(key=lambda e: (e.real, e.imag))
     return np.array(roots, dtype=np.complex128)
 
 
-def _segment_cycle(e_a: complex, e_b: complex, e_c: complex):
+def _segment_cycle(e_a: complex, e_b: complex, e_c: complex, rho: complex):
     """Integrals of (dx/y, x dx/y) over the cycle around the cut [e_a, e_b].
 
     On the cut ``x = e_a + u d`` with ``d = e_b - e_a`` and
-    ``zeta = d / (e_a - e_c)``, the branch of
-    ``y = 2 sqrt((x-e_a)(x-e_b)(x-e_c))`` is kept continuous by factoring it
-    as ``sqrt(u) sqrt(d) sqrt(1-u) sqrt(-d) sqrt(e_a-e_c) sqrt(1+zeta u)``
-    with principal roots, which needs the third root e_c off the cut (``1 +
-    zeta u`` off zero; ``_CUTS`` sees to it).  The u-integrals of
-    ``1/sqrt(u(1-u)(1+zeta u))`` and ``u/sqrt(...)`` are
-    ``2 R_F(0, 1, 1+zeta)`` and ``(2/3) R_D(0, 1+zeta, 1)``; the cycle
-    integral is twice the cut one.  Both are complete, so one AGM of 1 and
-    ``sqrt(1+zeta)`` gives them (``_complete_rf_rd``; DLMF 19.8(i), 19.22(ii)).
+    ``zeta = d / (e_a - e_c)``, the branch of ``y`` is
+    ``2i d S sqrt(u) sqrt(1-u) sqrt(1+zeta u)`` with principal roots and
+    ``S = sqrt(rho) sqrt((e_a - e_c)/rho)``, a square root of ``e_a - e_c``
+    that is continuous while ``(e_a - e_c)/rho`` stays off the negative
+    axis.  It needs the third root e_c off the cut (``1 + zeta u`` off
+    zero).  The u-integrals of ``1/sqrt(u(1-u)(1+zeta u))`` and
+    ``u/sqrt(...)`` are ``2 R_F(0, 1, 1+zeta)`` and ``(2/3) R_D(0, 1+zeta,
+    1)``; the cycle integral is twice the cut one, so the prefactor is
+    ``-2i / S``.  Both are complete, so one AGM of 1 and ``sqrt(1+zeta)``
+    gives them (``_complete_rf_rd``; DLMF 19.8(i), 19.22(ii)).
     """
     d = e_b - e_a
     ac = e_a - e_c
-    pre = 2.0 * d / (cmath.sqrt(d) * cmath.sqrt(-d) * cmath.sqrt(ac))
+    pre = -2j / (cmath.sqrt(rho) * cmath.sqrt(ac / rho))
     rf, rd = _complete_rf_rd(1.0 + d / ac)
     return pre * rf, pre * (e_a * rf + d * rd / 3.0)
 
@@ -249,68 +258,13 @@ def _carlson_matrix(t):
     e0, e1, e2 = roots = [complex(e) for e in curve_roots(t)]
     l0, l1, l2 = abs(e1 - e2), abs(e0 - e2), abs(e0 - e1)  # the side opposite each root
     ia, ib, ic = _CUTS[0 if l0 >= l1 and l0 >= l2 else 1 if l1 >= l2 else 2]
-    row1 = _segment_cycle(roots[ia], roots[ib], roots[ic])
-    row2 = _segment_cycle(roots[ib], roots[ic], roots[ia])
+    row1 = _segment_cycle(roots[ia], roots[ib], roots[ic], 1.0)
+    row2 = _segment_cycle(roots[ib], roots[ic], roots[ia], 1.0)
     det = row1[0] * row2[1] - row1[1] * row2[0]
     size = max(abs(v) for v in row1 + row2)
     if not abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + size ** 2):
         raise NonConvergent("the cut cycles failed the determinant check")
     return row1, row2
-
-
-def _carlson_matrices(points):
-    """``_carlson_matrix`` at each (t2, t3) row of ``points``, in one array pass.
-
-    Returns the (n, 2, 2) matrices and a mask of the points settled: all
-    but those where ``_carlson_matrix`` raises (below ``DELTA_FLOOR``, a
-    non-finite entry, a failed determinant check), whose matrices are NaN.
-    A settled matrix is the scalar one to the roots' rounding, up to the
-    order and sign of its rows (rounding orders tied real parts and picks
-    the branch of a real cut), or another pair of the same lattice where two
-    sides of the root triangle tie.
-    """
-    t2, t3 = np.asarray(points, dtype=np.complex128).reshape(-1, 2).T[:, :, None]
-    with np.errstate(all="ignore"):
-        settled = abs(t2 * t2 * t2 - 27.0 * (t3 * t3)) >= \
-            DELTA_FLOOR * (1.0 + abs(t2) ** 3 + abs(t3) ** 2)
-        P, Q = -0.25 * t2, -0.25 * t3
-        s = np.sqrt(0.25 * Q * Q + P * P * P / 27.0)
-        w = np.where(abs(-0.5 * Q + s) < abs(-0.5 * Q - s), -0.5 * Q - s, -0.5 * Q + s)
-        v = w ** (1.0 / 3.0) * np.array(_CUBE_ROOTS_OF_ONE)
-        x = v - P / (3.0 * v)
-        for _ in range(2):
-            x -= (4.0 * x * x * x - t2 * x - t3) / (12.0 * x * x - t2)
-        e = np.sort(x)  # by (Re, Im)
-        sides = abs(e[:, [1, 0, 0]] - e[:, [2, 2, 1]])  # the side opposite each root
-        e = np.take_along_axis(e, np.array(_CUTS)[sides.argmax(axis=1)], axis=1)
-        # the two cuts [e_a, e_b] and [e_b, e_c], third roots e_c and e_a
-        e_a, d, ac = e[:, :2], e[:, 1:] - e[:, :2], e[:, :2] - e[:, [2, 0]]
-        w = 1.0 + d / ac  # the AGM of _complete_rf_rd, per element
-        a, g, c_sq = np.ones_like(w), np.sqrt(w), 1.0 - w
-        ratio, series = np.ones_like(w), np.full_like(w, 0.5)
-        rf, rd = np.full_like(w, np.nan), np.full_like(w, np.nan)
-        live = np.repeat(settled, 2, axis=1)
-        for n in range(_CARLSON_MAX_STEPS):
-            if not live.any():
-                break
-            a_next = 0.5 * (a + g)
-            c = c_sq / (4.0 * a_next)
-            ratio *= c / (4.0 * a_next)
-            series += 2.0 ** n * ratio
-            g = np.sqrt(a * g)
-            g[(a_next.conj() * g).real < 0.0] *= -1.0
-            a, c_sq = a_next, c * c
-            stop = live & (abs(c) <= 1e-17 * abs(a))
-            rf[stop] = 0.5 * math.pi / a[stop]
-            rd[stop] = 3.0 * rf[stop] * series[stop]
-            live &= ~stop
-        pre = 2.0 * d / (np.sqrt(d) * np.sqrt(-d) * np.sqrt(ac))
-        Qs = np.stack([pre * rf, pre * (e_a * rf + d * rd / 3.0)], axis=-1)
-        det = Qs[:, 0, 0] * Qs[:, 1, 1] - Qs[:, 0, 1] * Qs[:, 1, 0]
-        settled = settled[:, 0] & np.isfinite(Qs).all(axis=(1, 2)) & \
-            (abs(abs(det) - 2.0 * math.pi) < 1e-4 * (1.0 + abs(Qs).max(axis=(1, 2)) ** 2))
-    Qs[~settled] = np.nan
-    return Qs, settled
 
 
 @dataclass(frozen=True)
@@ -434,154 +388,95 @@ def default_path(t) -> ParamPath:
         raise NearDiscriminant(f"could not certify a path to {t}: {exc}")
 
 
-# Largest distance from the nearest integer matrix at which T Q^-1 counts
-# as a clean rounding in the basis continuation.
-_ROUNDING_GATE = 0.3
-# Smallest continuation step, in the parameter of one path segment.
-_STEP_FLOOR = 256.0 * float(np.finfo(np.float64).eps)
+# The walk orders the roots by their projection p(e) = Re(e / _ROT).
+_ROT = cmath.exp(0.3j)
 
 
-def _integer_change(T, Q):
-    """``round(T Q^-1)`` as nested int tuples, or None when it is not clean.
+def _ordered_basis(f) -> np.ndarray:
+    """Rows: the cycles around the cuts [f1, f2] and [f2, f3] of roots in
+    ascending p; columns (dx/y, x dx/y).
 
-    Clean means every entry lies within ``_ROUNDING_GATE`` of its integer
-    and the integer matrix is unimodular.
+    With ``rho = -_ROT`` for the first cut and ``_ROT`` for the second,
+    ``(e_a - e_c)/rho`` has Re >= 0 and ``1 + zeta`` is the ratio of two
+    root differences in one closed half plane, so it stays off (-inf, 0]:
+    the values are analytic in the roots as long as their p-order holds.
     """
-    (t00, t01), (t10, t11) = T
-    (q00, q01), (q10, q11) = Q
-    det = q00 * q11 - q01 * q10
-    entries = ((t00 * q11 - t01 * q10) / det, (t01 * q00 - t00 * q01) / det,
-               (t10 * q11 - t11 * q10) / det, (t11 * q00 - t10 * q01) / det)
-    ints = []
-    for v in entries:
-        if not (abs(v.imag) < _ROUNDING_GATE and abs(v.real) < 2.0 ** 52):
-            return None  # also a non-finite entry, which round() refuses
-        n = round(v.real)
-        if abs(v - n) >= _ROUNDING_GATE:
-            return None
-        ints.append(n)
-    n00, n01, n10, n11 = ints
-    if abs(n00 * n11 - n01 * n10) != 1:
-        return None
-    return (n00, n01), (n10, n11)
+    f1, f2, f3 = f
+    return np.array([_segment_cycle(f1, f2, f3, -_ROT), _segment_cycle(f2, f3, f1, _ROT)])
 
 
-def _apply(N, Q):
-    """The integer combination ``N Q`` of the rows of ``Q``."""
-    (n00, n01), (n10, n11) = N
-    (q00, q01), (q10, q11) = Q
-    return ((n00 * q00 + n01 * q10, n00 * q01 + n01 * q11),
-            (n10 * q00 + n11 * q10, n10 * q01 + n11 * q11))
+def _braid(waypoints):
+    """The braid word of the roots along a polygon, and the roots in
+    ascending p at its start and its end.
 
+    On a segment ``t(s) = a + s (v2, v3)``, take the roots ``x_i`` at the
+    last step point, their distances ``d_ij`` and ``r = min d_ij / 4``, and
+    the step ``h = 0.9 min_i 4 r prod_{j != i} (d_ij - r) / (|v2 x_i + v3| +
+    |v2| r)``.  On the circle of radius r about ``x_i`` the cubic is at
+    least ``4 r prod_{j != i} (d_ij - r)`` in modulus, while moving s by at
+    most h changes it by ``|s - s0| |v2 x + v3|``, less than that; so by
+    Rouche's theorem each root stays in its own disk for the whole step
+    (Kranich 2016).  The disks are disjoint, each new root is labelled by
+    its disk, and the straight interpolation between step points has the
+    true braid.  A step point below ``DELTA_FLOOR`` raises
+    ``NearDiscriminant``.
 
-# Integers below it multiply exactly in a float, so ``_unit_steps``'
-# unimodularity test is exact.
-_RUN_BOUND = 2.0 ** 26
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _unit_steps(N, Q, points):
-    """The Ns of the next segments that the scan, at ``T = _apply(N, Q)``,
-    takes in one h = 1 step each, given their Carlson matrices at s = 1 and
-    s = 0.5 alternating in ``points``.  Each N is predicted by rounding the
-    ratio of consecutive end matrices, chained in Python ints; one array pass
-    then checks the scan's three roundings (N, N_mid and the half-step N) on
-    every segment, by ``_integer_change``'s terms, gate and unimodularity."""
-    with np.errstate(all="ignore"):
-        adj = points[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJUGATE_SIGNS
-        det = (points[:, 0, 0] * points[:, 1, 1] - points[:, 0, 1] * points[:, 1, 0])[:, None, None]
-
-        def ratios(T, k):  # T Q^-1 of the stack T and points[k], term for term
-            return (T[:, :, :1] * adj[k, None, 0] + T[:, :, 1:] * adj[k, None, 1]) / det[k]
-
-        corners = np.concatenate([[Q], points[0::2]])
-        V = ratios(corners[:-1], slice(0, None, 2))
-        R = np.rint(V.real)
-        clean = (abs(V - R) < _ROUNDING_GATE).all(axis=(1, 2))
-        Ns = [N]
-        for R_i in R[:np.logical_and.accumulate(clean).sum()].astype(int).tolist():
-            if R_i != [[1, 0], [0, 1]]:  # mostly it is
-                N = _apply(N, R_i)
-                if max(map(abs, N[0] + N[1])) >= _RUN_BOUND:
-                    break
-            Ns.append(N)
-        r, chain = len(Ns) - 1, np.array(Ns, dtype=float)
-        # T at each segment start as _apply forms it; T Q^-1 at the end and
-        # the midpoint, and from N_mid Q_mid at the end
-        T = chain[:-1, :, :1] * corners[:r, None, 0] + chain[:-1, :, 1:] * corners[:r, None, 1]
-        V = ratios(T.repeat(2, axis=0), slice(0, 2 * r))
-        N_mid, mid = np.rint(V[1::2].real), points[1:2 * r:2]
-        T = N_mid[:, :, :1] * mid[:, None, 0] + N_mid[:, :, 1:] * mid[:, None, 1]
-        V = np.stack([V[0::2], ratios(T, slice(0, 2 * r, 2)), V[1::2]])
-        N = np.stack([chain[1:], chain[1:], N_mid])
-        ok = ((abs(V - N) < _ROUNDING_GATE) & (abs(N) < _RUN_BOUND)).all(axis=(0, 2, 3)) & \
-            (abs(N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0]) == 1.0).all(axis=0)
-    return Ns[1:1 + np.logical_and.accumulate(ok).sum()]
-
-
-def _continue_basis(waypoints, T):
-    """Carry the cycle basis of ``T`` along a polygon by integer rounding.
-
-    At each step point the Carlson matrix Q is computed directly, and the
-    continued matrix becomes ``N Q`` with ``N = round(T Q^-1)``.  A step
-    from s to s + h on a segment is accepted only when the direct rounding
-    and two half-steps agree on N; it then doubles, otherwise it halves.
-    The step carries over from one segment to the next.  Returns the
-    continued matrix at the last waypoint, which is ``N Q`` there.
-
-    Q at s = 1 and s = 0.5 of every segment comes from one
-    ``_carlson_matrices`` pass before the scan, on the cuts of
-    ``_carlson_matrix`` (its rows may differ in order and sign, to which the
-    rounding is blind, and where two sides of the root triangle tie, in the
-    pair).  Other step points, and the points the pass leaves unsettled, use
-    ``_carlson_matrix``, which raises there as an all-scalar scan would.
-    After a segment taken in one h = 1 step, ``_unit_steps`` takes, in one
-    array pass, the next segments that the scan would take so too, with the
-    same N; the scan goes on from the first one it leaves.
+    Where two roots adjacent in p swap on the interpolation, at positions
+    k, k + 1 (k = 1 or 2), the word gets ``(k, sigma)`` with sigma the sign
+    of ``Im((x_left - x_right) / _ROT)`` at the crossing.  A tie in p keeps
+    the order it had.
     """
-    segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
-                if a != b]
-    first = [pt for _, a, b in segments for pt in (b, [u + 0.5 * (v - u) for u, v in zip(a, b)])]
-    Q_first, settled = _carlson_matrices(first)
-    Qs, settled = Q_first.tolist(), settled.tolist()
-    h, j = 1.0, 0
-    while j < len(segments):
-        k, a, b = segments[j]
-        # a rejected step's midpoint is the next step's end
-        cache = {s: Qs[i] for s, i in ((1.0, 2 * j), (0.5, 2 * j + 1)) if settled[i]}
-
-        def carlson_at(s):
-            if s not in cache:
-                pt = b if s == 1.0 else [u + s * (v - u) for u, v in zip(a, b)]
-                cache[s] = _carlson_matrix(pt)
-            return cache[s]
-
-        s, whole = 0.0, None
+    x = _roots(WeierstrassPoint(*waypoints[0]))
+    p = [(e / _ROT).real for e in x]
+    order = sorted(range(3), key=p.__getitem__)
+    start, word = [x[i] for i in order], []
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        v2, v3 = b[0] - a[0], b[1] - a[1]
+        s = 0.0 if v2 or v3 else 1.0
         while s < 1.0:
-            h = min(h, 1.0 - s)
-            if h < _STEP_FLOOR:
-                raise StepUnderflow(
-                    f"continuation step {h:.3e} below floor {_STEP_FLOOR:.3e} "
-                    f"at s={s} of segment {k} on the path to t={waypoints[-1]}")
-            end = 1.0 if h == 1.0 - s else s + h
-            Q_end = carlson_at(end)
-            N = _integer_change(T, Q_end)
-            if N is not None:
-                Q_mid = carlson_at(s + 0.5 * h)
-                N_mid = _integer_change(T, Q_mid)
-                if N_mid is not None and \
-                        _integer_change(_apply(N_mid, Q_mid), Q_end) == N:
-                    T, whole = _apply(N, Q_end), (N, Q_end) if h == 1.0 else None
-                    s = end
-                    h *= 2.0
-                    continue
-            h *= 0.5
-        j += 1
-        if whole and j < len(segments):
-            Ns = _unit_steps(*whole, Q_first[2 * j:])
-            j += len(Ns)
-            T = _apply(Ns[-1], Qs[2 * j - 2]) if Ns else T
-    return T
+            d01, d02, d12 = abs(x[0] - x[1]), abs(x[0] - x[2]), abs(x[1] - x[2])
+            r = 0.25 * min(d01, d02, d12)
+            vr = abs(v2) * r  # the step h, with 0.9 * 4 = 3.6
+            s = min(s + 3.6 * r * min((d01 - r) * (d02 - r) / (abs(v2 * x[0] + v3) + vr),
+                                      (d01 - r) * (d12 - r) / (abs(v2 * x[1] + v3) + vr),
+                                      (d02 - r) * (d12 - r) / (abs(v2 * x[2] + v3) + vr)), 1.0)
+            new = [None] * 3
+            for e in _roots(WeierstrassPoint(*(b if s == 1.0 else (a[0] + s * v2, a[1] + s * v3)))):
+                g0, g1, g2 = abs(e - x[0]), abs(e - x[1]), abs(e - x[2])  # its disk is the nearest
+                new[0 if g0 <= g1 and g0 <= g2 else 1 if g1 <= g2 else 2] = e
+            if None in new:
+                raise NonConvergent(
+                    f"the roots left their disks at s={s} on the path to {waypoints[-1]}")
+            q = [(e / _ROT).real for e in new]
+            target = sorted(order, key=q.__getitem__)  # stable: a tie keeps the order
+            while order != target:
+                # the adjacent pair that swaps first on the interpolation, at time u
+                u, k = min(((p[i] - p[j]) / ((p[i] - p[j]) - (q[i] - q[j])), k)
+                           for k, (i, j) in enumerate(zip(order, order[1:]))
+                           if target.index(i) > target.index(j))
+                i, j = order[k], order[k + 1]
+                gap = (x[i] + u * (new[i] - x[i]) - x[j] - u * (new[j] - x[j])) / _ROT
+                word.append((k + 1, 1 if gap.imag > 0.0 else -1))
+                order[k], order[k + 1] = j, i
+            x, p = new, q
+    return start, word, [x[i] for i in order]
+
+
+def _word_matrix(word):
+    """The integer matrix U, in Python ints, with the start basis continued
+    along a braid word equal to U times the end basis.
+
+    A half twist ``(k, sigma)`` maps the ordered basis B to ``S B``, with
+    ``S = [[1, 0], [-sigma, 1]]`` for k = 1 and ``[[1, sigma], [0, 1]]`` for
+    k = 2 (Picard-Lefschetz), so the continued rows U go to ``U S^-1``.
+    """
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for k, sigma in word:
+        if k == 1:
+            a, c = a + sigma * b, c + sigma * d
+        else:
+            b, d = b - sigma * a, d - sigma * c
+    return [[a, b], [c, d]]
 
 
 def period_matrix(t) -> PeriodMatrix2:
@@ -591,14 +486,23 @@ def period_matrix(t) -> PeriodMatrix2:
     to about eps / relative |Delta|: machine precision away from the
     discriminant, while two equally accurate root routes differ by 9.3e-13
     relative at relative |Delta| 1e-4 and 1.6e-9 at 3e-8.  The integer
-    combination of them that is the continued anchor basis comes from
-    rounding along the default path (see ``_continue_basis``).
+    combination of them that is the continued anchor basis comes from the
+    braid of the roots along the default path (see ``_braid``): the anchor
+    matrix is ``T0 B`` in the ordered basis B there, the word maps it to
+    ``T0 U B_end``, and rounding ``T0 U B_end Q^-1`` at the Carlson matrix
+    Q of ``t`` gives the integers.
     """
     p = as_weierstrass(t)
     anchor = _anchor_matrix()
     if p.t2 == BASE_T2 and p.t3 == BASE_T3:
         return PeriodMatrix2(anchor)
-    P = PeriodMatrix2(_continue_basis(default_path(p).waypoints.tolist(), anchor.tolist()))
+    start, word, end = _braid(default_path(p).waypoints.tolist())
+    T0, _ = nearest_integer_matrix(anchor @ np.linalg.inv(_ordered_basis(start)), 0.25)
+    Q = np.array(_carlson_matrix(p))
+    N, _ = nearest_integer_matrix(
+        T0 @ np.array(_word_matrix(word), dtype=float) @ _ordered_basis(end) @ np.linalg.inv(Q),
+        0.25)
+    P = PeriodMatrix2(N @ Q)
     P.validate(1e-7)
     return P
 

@@ -23,8 +23,10 @@ an integer, determinant-one change of cycle basis (the monodromy).
 
 ``transport`` integrates this system, with ``connection_matrix`` as the
 right-hand side of ``integrate_linear_ode``.  ``monodromy`` runs no ODE: it
-continues the Carlson matrices of ``elliptic`` around the loop by integer
-rounding, so the ODE stays an independent route to the same matrix.
+reads the braid the three roots trace around the loop, each swap of two
+roots adjacent along the direction e^(0.3i) a Picard-Lefschetz half twist
+of the ordered cut-cycle basis (``elliptic._braid``), so the ODE stays an
+independent route to the same matrix.
 """
 
 from __future__ import annotations
@@ -148,16 +150,13 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     The basepoint period matrix ``P0`` defaults to ``period_matrix`` at the
     loop start.  Returns the integer matrix ``M`` with ``P_end = M P0``.
 
-    No ODE runs: the Carlson matrix ``Q0`` at the start is continued around
-    the loop by integer rounding (``elliptic._continue_basis``, the route of
-    ``period_matrix``; on a loop whose steps all hold at h = 1, one array pass
-    computes every step point and one rounds all segments after the first),
-    which ends at ``M_Q Q0`` with ``M_Q`` an integer matrix.  In the rows of
-    ``P0`` the same monodromy is ``C M_Q C^-1`` with ``C = P0 Q0^-1``; it is
-    formed from the unrounded ``T_end Q0^-1`` and rounded once, so the
-    reported deviation measures both whether the loop closed and the basis
-    change.  A loop that does not close, or a ``P0`` that is no period
-    matrix, gives a non-integral (or non-finite) result and
+    No ODE runs.  The braid of the roots around the loop (``elliptic._braid``,
+    the route of ``period_matrix``) gives, as an exact integer matrix
+    ``M_B``, the monodromy in the ordered basis ``B0`` of the roots at the
+    start, which is also the ordered basis at the end.  In the rows of
+    ``P0`` it is ``C M_B C^-1`` with ``C = P0 B0^-1``, rounded once, so the
+    reported deviation measures the basis change.  A ``P0`` that is no
+    period matrix gives a non-integral (or non-finite) result and
     ``NonIntegralMonodromy``.
     """
     _require_plane_path(loop)
@@ -169,15 +168,13 @@ def monodromy(loop: ParamPath, basepoint_periods=None) -> MonodromyMatrix:
     P0 = np.asarray(getattr(basepoint_periods, "entries", basepoint_periods), dtype=complex)
     if P0.shape != (2, 2) or not np.all(np.isfinite(P0)) or np.linalg.slogdet(P0)[0] == 0:
         raise ValidationError("basepoint periods must be a finite invertible 2x2 matrix")
-    Q0 = np.array(elliptic._carlson_matrix(start))
-    T_end = np.array(elliptic._continue_basis(loop.waypoints.tolist(), Q0.tolist()))
-    Q0_inv = np.linalg.inv(Q0)
-    with np.errstate(all="ignore"):  # a P0 far from a period matrix may overflow M
-        C = P0 @ Q0_inv
-        # T_end is M_Q times the very Q0 (the loop ends where it starts)
-        M = C @ (T_end @ Q0_inv) @ np.linalg.inv(C)
+    start_roots, word, _ = elliptic._braid(loop.waypoints.tolist())
     try:
+        M_B = np.array(elliptic._word_matrix(word), dtype=float)
+        with np.errstate(all="ignore"):  # a P0 far from a period matrix may overflow M
+            C = P0 @ np.linalg.inv(elliptic._ordered_basis(start_roots))
+            M = C @ M_B @ np.linalg.inv(C)
         M_int, deviation = nearest_integer_matrix(M, INTEGRALITY_TOL)
-    except NonConvergent as exc:
+    except (NonConvergent, OverflowError) as exc:  # also an M_B past the float range
         raise NonIntegralMonodromy(str(exc))
     return MonodromyMatrix(M_int, deviation)

@@ -112,7 +112,8 @@ class ParamPath:
         the path up to the rounding of the samples (one hook call on the 3n + 1
         samples of n segments), or |discriminant| at the one point of a path
         that never moves.  A bound that is not positive raises
-        ``ClearanceViolation``, values of another shape ``ValidationError``.
+        ``ClearanceViolation``; values of another shape, or that are no
+        numbers, ``ValidationError``.
     """
 
     def __init__(self, waypoints, discriminant=None):
@@ -134,7 +135,11 @@ class ParamPath:
         # the corners, each segment's s = 1 sample being the next one's s = 0
         # sample, then the s = 1/3 and s = 2/3 samples
         points = np.vstack([starts, pts[-1:]] + [starts + u * velocity for u in _CUBIC_NODES[1:3]])
-        samples = np.asarray(discriminant(points), dtype=np.complex128)
+        values = discriminant(points)
+        try:
+            samples = np.asarray(values, dtype=np.complex128)
+        except (TypeError, ValueError):  # strings, or objects that are no numbers
+            raise ValidationError("hook gave values that are not numbers") from None
         if samples.shape != (len(points),):
             raise ValidationError(f"hook gave shape {samples.shape} for {len(points)} points")
         if not np.all(np.isfinite(samples)):

@@ -6,9 +6,9 @@ digits), single cut cycles from Gauss-Legendre quadrature of the
 integrand (the package's Carlson closed forms are what they check),
 cubic roots from numpy's companion-matrix eigenvalues, monodromy from
 the package's ODE transport (``transport_entries``, which the Carlson
-continuation of ``monodromy`` does not use), the basis continuation from
-a scan that takes every segment step by step (no ``_unit_steps`` array
-pass), j from mpmath's kleinj,
+braid continuation of ``monodromy`` does not use), the basis continuation
+from a scan that rounds T Q^-1 at Carlson matrices step by step (the
+braid route does not round along the path), j from mpmath's kleinj,
 Eisenstein values from naive truncated double sums or from an mpmath
 Lambert series at the unreduced tau, Hurwitz zeta tails from direct
 sums (in mpmath for complex starts), the classical Poincare series from a
@@ -24,6 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from periodlab import elliptic, poincare
+from periodlab.errors import StepUnderflow
 from periodlab.gaussmanin import transport_entries
 from periodlab.numerics import nearest_integer_matrix, quad_sqrt_singular
 
@@ -60,24 +61,24 @@ def oracle_curve_roots(t2, t3):
     return roots[order]
 
 
-def oracle_segment_cycle(e_a, e_b, e_c, tol=1e-10):
+def oracle_segment_cycle(e_a, e_b, e_c, rho, tol=1e-10):
     """(dx/y, x dx/y) over the cycle around the cut [e_a, e_b], by quadrature.
 
     A route independent of the Carlson closed forms, on the same branch:
-    y = 2 sqrt((x-e_a)(x-e_b)(x-e_c)) is factored against x = e_a + u d,
-    d = e_b - e_a, as sqrt(u) sqrt(d) sqrt(1-u) sqrt(-d) sqrt(e_a-e_c)
-    sqrt(1+zeta u) with principal roots. ``tol`` is relative to the
-    integral's scale 1/|sqrt(e_a - e_c)|.
+    y^2 = 4 (x-e_a)(x-e_b)(x-e_c) is -4 d^2 (e_a-e_c) u (1-u) (1+zeta u)
+    on x = e_a + u d, d = e_b - e_a, and y is taken as 2i d S sqrt(u)
+    sqrt(1-u) sqrt(1+zeta u) with principal roots and S = sqrt(rho)
+    sqrt((e_a-e_c)/rho). ``tol`` is relative to the integral's scale
+    1/|sqrt(e_a - e_c)|.
     """
     d = e_b - e_a
     ac = e_a - e_c
     zeta = d / ac
-    sq_d, sq_md, sq_ac = cmath.sqrt(d), cmath.sqrt(-d), cmath.sqrt(ac)
+    sq_ac = cmath.sqrt(rho) * cmath.sqrt(ac / rho)
 
     def inv_y(x):
         u = min(max(((x - e_a) / d).real, 0.0), 1.0)
-        y = 2.0 * (math.sqrt(u) * sq_d) * (math.sqrt(1.0 - u) * sq_md) \
-            * (sq_ac * cmath.sqrt(1.0 + u * zeta))
+        y = 2j * d * sq_ac * (math.sqrt(u) * math.sqrt(1.0 - u)) * cmath.sqrt(1.0 + u * zeta)
         return 1.0 / y
 
     # split the cut where it passes closest to e_c, so that a near-singular
@@ -114,20 +115,60 @@ def oracle_clearance(path, discriminant):
     return worst
 
 
-def oracle_continue_basis(waypoints, T):
-    """``elliptic._continue_basis`` as one scalar scan: every accepted step,
-    whole segments included, makes its three ``_integer_change`` roundings.
+# Largest distance from the nearest integer matrix at which T Q^-1 counts
+# as a clean rounding in the scan, and its smallest step.
+SCAN_GATE = 0.3
+SCAN_STEP_FLOOR = 256.0 * float(np.finfo(np.float64).eps)
 
-    It reads the same Carlson matrices (the one ``_carlson_matrices`` pass,
-    then ``_carlson_matrix``), so the two agree exactly, result and error.
+
+def _scan_change(T, Q):
+    """``round(T Q^-1)`` as nested int tuples, or None unless every entry lies
+    within ``SCAN_GATE`` of its integer and the integer matrix is unimodular."""
+    (t00, t01), (t10, t11) = T
+    (q00, q01), (q10, q11) = Q
+    det = q00 * q11 - q01 * q10
+    entries = ((t00 * q11 - t01 * q10) / det, (t01 * q00 - t00 * q01) / det,
+               (t10 * q11 - t11 * q10) / det, (t11 * q00 - t10 * q01) / det)
+    ints = []
+    for v in entries:
+        if not (abs(v.imag) < SCAN_GATE and abs(v.real) < 2.0 ** 52):
+            return None  # also a non-finite entry, which round() refuses
+        n = round(v.real)
+        if abs(v - n) >= SCAN_GATE:
+            return None
+        ints.append(n)
+    n00, n01, n10, n11 = ints
+    if abs(n00 * n11 - n01 * n10) != 1:
+        return None
+    return (n00, n01), (n10, n11)
+
+
+def _scan_apply(N, Q):
+    """The integer combination ``N Q`` of the rows of ``Q``."""
+    (n00, n01), (n10, n11) = N
+    (q00, q01), (q10, q11) = Q
+    return ((n00 * q00 + n01 * q10, n00 * q01 + n01 * q11),
+            (n10 * q00 + n11 * q10, n10 * q01 + n11 * q11))
+
+
+def oracle_continue_basis(waypoints, T):
+    """Carry the rows ``T`` along a polygon by integer rounding: the scan.
+
+    At each step point the Carlson matrix Q (``elliptic._carlson_matrix``,
+    the only library call) is computed, and the continued matrix becomes
+    ``N Q`` with ``N = round(T Q^-1)``.  A step from s to s + h on a segment
+    is accepted only when the direct rounding and two half-steps agree on N;
+    it then doubles, otherwise it halves, down to ``SCAN_STEP_FLOOR``
+    (``StepUnderflow``).  The step carries over from one segment to the
+    next.  Returns the continued matrix at the last waypoint, ``N Q`` there.
+    This is a sampled check, not a bound; it is the reference the braid
+    route is tested against.
     """
-    segments = [(k, a, b) for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:]))
-                if a != b]
-    first = [pt for _, a, b in segments for pt in (b, [u + 0.5 * (v - u) for u, v in zip(a, b)])]
-    Qs, settled = (arr.tolist() for arr in elliptic._carlson_matrices(first))
     h = 1.0
-    for j, (k, a, b) in enumerate(segments):
-        cache = {s: Qs[i] for s, i in ((1.0, 2 * j), (0.5, 2 * j + 1)) if settled[i]}
+    for k, (a, b) in enumerate(zip(waypoints[:-1], waypoints[1:])):
+        if a == b:
+            continue
+        cache = {}
 
         def carlson_at(s):
             if s not in cache:
@@ -138,24 +179,29 @@ def oracle_continue_basis(waypoints, T):
         s = 0.0
         while s < 1.0:
             h = min(h, 1.0 - s)
-            if h < elliptic._STEP_FLOOR:
-                raise elliptic.StepUnderflow(
-                    f"continuation step {h:.3e} below floor {elliptic._STEP_FLOOR:.3e} "
+            if h < SCAN_STEP_FLOOR:
+                raise StepUnderflow(
+                    f"continuation step {h:.3e} below floor {SCAN_STEP_FLOOR:.3e} "
                     f"at s={s} of segment {k} on the path to t={waypoints[-1]}")
             end = 1.0 if h == 1.0 - s else s + h
             Q_end = carlson_at(end)
-            N = elliptic._integer_change(T, Q_end)
+            N = _scan_change(T, Q_end)
             if N is not None:
                 Q_mid = carlson_at(s + 0.5 * h)
-                N_mid = elliptic._integer_change(T, Q_mid)
-                if N_mid is not None and \
-                        elliptic._integer_change(elliptic._apply(N_mid, Q_mid), Q_end) == N:
-                    T = elliptic._apply(N, Q_end)
+                N_mid = _scan_change(T, Q_mid)
+                if N_mid is not None and _scan_change(_scan_apply(N_mid, Q_mid), Q_end) == N:
+                    T = _scan_apply(N, Q_end)
                     s = end
                     h *= 2.0
                     continue
             h *= 0.5
     return T
+
+
+def oracle_period_matrix(t):
+    """``period_matrix`` by the scan along the default path from the anchor."""
+    waypoints = elliptic.default_path(t).waypoints.tolist()
+    return np.array(oracle_continue_basis(waypoints, elliptic._anchor_matrix().tolist()))
 
 
 def oracle_monodromy_ode(loop, P0):

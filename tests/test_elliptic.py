@@ -284,9 +284,8 @@ class TestDefaultPath:
     def test_last_waypoint_is_t_itself(self, monkeypatch):
         # the certified path is the walked one: it ends at t bit for bit, and
         # period_matrix continues along its waypoints as they are
-        walked, continue_basis = [], elliptic._continue_basis
-        monkeypatch.setattr(elliptic, "_continue_basis",
-                            lambda w, T: walked.append(w) or continue_basis(w, T))
+        walked, braid = [], elliptic._braid
+        monkeypatch.setattr(elliptic, "_braid", lambda w: walked.append(w) or braid(w))
         rng = np.random.default_rng(17)
         answered = 0
         for _ in range(200):
@@ -558,7 +557,8 @@ class TestCurveRoots:
 class TestCarlsonCycles:
     def test_matches_quadrature_oracle(self):
         # the closed forms take the branch the quadrature integrand takes,
-        # so the cycles agree with no sign freedom at every rotation
+        # so the cycles agree with no sign freedom at every rotation and for
+        # each branch direction rho of the square root of e_a - e_c
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 25:
@@ -567,9 +567,10 @@ class TestCarlsonCycles:
             if abs(discriminant((t2, t3))) < 1e-2 * (1 + abs(t2) ** 3 + abs(t3) ** 2):
                 continue
             roots = [complex(e) for e in curve_roots((t2, t3))]
-            for ia, ib, ic in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # each cut, third root off it
-                got = elliptic._segment_cycle(roots[ia], roots[ib], roots[ic])
-                want = oracles.oracle_segment_cycle(roots[ia], roots[ib], roots[ic])
+            for (ia, ib, ic), rho in zip(((0, 1, 2), (1, 2, 0), (2, 0, 1)),  # third root off
+                                         (1.0, -elliptic._ROT, elliptic._ROT)):
+                got = elliptic._segment_cycle(roots[ia], roots[ib], roots[ic], rho)
+                want = oracles.oracle_segment_cycle(roots[ia], roots[ib], roots[ic], rho)
                 scale = max(abs(w) for w in want)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-10 * scale, (t2, t3, ia, ib, ic)
@@ -605,38 +606,51 @@ def _basis_change(Q, want):
     return np.round((Q @ np.linalg.inv(want)).real)
 
 
+def _ordered_roots(t):
+    """The roots at ``t`` in the walk's order, ascending p: a walk that never moves."""
+    start, word, end = elliptic._braid([t, t])
+    assert word == [] and start == end
+    return start
+
+
+def _integer_basis(P, t):
+    """The integer matrix N with P = N Q at the Carlson matrix Q of ``t``."""
+    return np.round((np.asarray(P) @ np.linalg.inv(np.array(elliptic._carlson_matrix(t)))).real)
+
+
 class TestCarlsonKernel:
+    """The ordered basis of the walk against the Carlson matrix it is rounded to."""
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_matches_scalar_route(self, real):
-        # settled rows agree with _carlson_matrix up to an integer change of
-        # basis, within the roots' own rounding: about eps over the relative
-        # discriminant
+        # the ordered basis agrees with _carlson_matrix up to an integer
+        # change of basis, within the roots' own rounding: about eps over the
+        # relative discriminant
         rng = np.random.default_rng(41 + real)
         points = [(_log_uniform(rng, real), _log_uniform(rng, real)) for _ in range(400)]
         points += [_near_discriminant_point(rng, 10.0 ** rng.uniform(-7, -2), real)
                    for _ in range(200)]
-        Qs, settled = elliptic._carlson_matrices(points)
         checked = 0
-        for t, Q, ok in zip(points, Qs, settled):
+        for t in points:
             rel = abs(discriminant(t)) / elliptic._delta_scale(WeierstrassPoint(*t))
             if rel < elliptic.DELTA_FLOOR:
-                assert not ok
+                with pytest.raises(NearDiscriminant):
+                    _ordered_roots(t)
                 continue
-            assert ok, t
+            B = elliptic._ordered_basis(_ordered_roots(t))
             want = np.array(elliptic._carlson_matrix(t))
-            U = _basis_change(Q, want)
+            U = _basis_change(B, want)
             limit = 1e-13 + 10.0 * np.finfo(float).eps / rel
             assert abs(round(np.linalg.det(U))) == 1, t
-            assert np.max(np.abs(Q - U @ want)) <= limit * np.max(np.abs(want)), t
+            assert np.max(np.abs(B - U @ want)) <= limit * np.max(np.abs(want)), t
             checked += 1
         assert checked >= 590
 
     def test_one_cut_rule(self, monkeypatch):
-        # both routes cut at the root opposite the longest side of the root
-        # triangle: the third root stays off each cut, the array pass picks
-        # the scalar route's cuts (in another row order and sign at most)
-        # unless two sides tie, and it settles exactly the points the
-        # scalar route answers
+        # the Carlson matrix cuts at the root opposite the longest side of the
+        # root triangle, so its third root stays off each cut; the ordered
+        # basis cuts between roots adjacent along the direction e^(0.3i), so
+        # its 1 + zeta stays off (-inf, 0]
         rng = np.random.default_rng(53)
         points = [_from_roots(-1e-8 - 1.5j, 1j, 1e-8 + 0.5j)]  # a third root by one cut
         for real in (False, True):
@@ -646,133 +660,118 @@ class TestCarlsonKernel:
             points += [(0j, _log_uniform(rng, real)) for _ in range(50)]  # equilateral roots
         cuts, segment_cycle = [], elliptic._segment_cycle
         monkeypatch.setattr(elliptic, "_segment_cycle",
-                            lambda *e: cuts.append(e) or segment_cycle(*e))
-        Qs, settled = elliptic._carlson_matrices(points)
+                            lambda *e: cuts.append(e[:3]) or segment_cycle(*e))
         answered = 0
-        for t, Q, ok in zip(points, Qs, settled):
+        for t in points:
             cuts.clear()
             try:
-                want = np.array(elliptic._carlson_matrix(t))
+                elliptic._carlson_matrix(t)
             except NumericalError:  # NearDiscriminant or outside the float range
-                assert not ok, t
+                with pytest.raises(NumericalError):
+                    _ordered_roots(t)
                 continue
-            assert ok, t
             answered += 1
             assert min(_cut_clearance(*e) for e in cuts) >= 1e-6, t
-            U = np.abs(_basis_change(Q, want))
-            if not np.array_equal(U @ U.T, np.eye(2)):  # not a signed permutation
-                e = curve_roots(t)
-                sides = sorted([abs(e[1] - e[2]), abs(e[0] - e[2]), abs(e[0] - e[1])])
-                assert sides[2] - sides[1] <= 1e-12 * sides[2], t
+            cuts.clear()
+            elliptic._ordered_basis(_ordered_roots(t))
+            for e_a, e_b, e_c in cuts:
+                w = 1.0 + (e_b - e_a) / (e_a - e_c)
+                assert w.imag != 0.0 or w.real > 0.0, t
         assert answered >= 2000
 
     def test_unsettled_points(self):
+        # where the walk cannot take a root sample it raises a typed error,
+        # and a point with a root beside [e0, e1] is answered by both bases
         on_cut = _from_roots(-1e-8 - 1.5j, 1j, 1e-8 + 0.5j)  # third root by the cut [e0, e1]
-        points = [(3.0, 1.0), (3.0 * (1.0 + 1e-10), 1.0), (24.0j, 16.0 - 16.0j),  # below DELTA_FLOOR
-                  on_cut, (math.nan, 1.0), (1.0, complex(0.0, math.inf)), (1e300, 1.0)]
-        Qs, settled = elliptic._carlson_matrices(points)
-        assert Qs.shape == (7, 2, 2) and settled.tolist() == [False] * 3 + [True] + [False] * 3
-        assert np.isnan(Qs[~settled]).all()
-        # both routes cut the point beside [e0, e1] elsewhere, the same way
+        for t, error in [((3.0, 1.0), NearDiscriminant),  # below DELTA_FLOOR
+                         ((3.0 * (1.0 + 1e-10), 1.0), NearDiscriminant),
+                         ((24.0j, 16.0 - 16.0j), NearDiscriminant),
+                         ((math.nan, 1.0), ValidationError),
+                         ((1.0, complex(0.0, math.inf)), ValidationError),
+                         ((1e300, 1.0), NumericalError)]:
+            with pytest.raises(error):
+                elliptic._braid([t, t])
         want = np.array(elliptic._carlson_matrix(on_cut))
         assert abs(abs(np.linalg.det(want)) - 2.0 * math.pi) < 1e-8
-        assert np.max(np.abs(Qs[3] - _basis_change(Qs[3], want) @ want)) <= 1e-13
+        B = elliptic._ordered_basis(_ordered_roots(on_cut))
+        assert np.max(np.abs(B - _basis_change(B, want) @ want)) <= 1e-13
 
     def test_no_points(self):
-        Qs, settled = elliptic._carlson_matrices([])
-        assert Qs.shape == (0, 2, 2) and settled.shape == (0,)
-        # a loop with no moving segment hands the kernel no points
+        # a loop with no moving segment takes no step and has an empty word
         loop = ParamPath([(4, 1j), (4, 1j)], discriminant=discriminant)
+        start, word, end = elliptic._braid(loop.waypoints.tolist())
+        assert word == [] and start == end
         assert np.array_equal(gaussmanin.monodromy(loop).entries, np.eye(2))
 
-    @pytest.mark.parametrize("waypoints,error", [
-        # NearDiscriminant at the end corner of segment 1; (3, -1) is singular too
+    @pytest.mark.parametrize("waypoints,scan_error", [
+        # a corner on the locus; (3, -1) is singular too
         ([(4, 0), (4, 1j), (3, 1), (5, 0.5j), (3, -1)], NearDiscriminant),
-        # NearDiscriminant mid-segment, where t3 crosses sqrt(64/27)
+        # a segment through the locus, where t3 crosses sqrt(64/27)
         ([(4, 0), (4, 1.0), (4, 2.0), (3, 1), (5, 1j)], NearDiscriminant),
-        # StepUnderflow on segment 2, passing both roots at 1e-13
+        # a segment passing both roots at 1e-13: the scan's step underflows,
+        # the walk's steps shrink towards the root until one is below the floor
         ([(4, 0), (4, -2j), (4, -1e6 + 1e-13j), (4, 1e6 + 1e-13j), (3, 1)], StepUnderflow),
     ], ids=["near-corner", "near-crossing", "underflow"])
-    def test_errors_as_scalar_route(self, monkeypatch, waypoints, error):
-        # the first pass settles later corners too, but the scan raises
-        # where the scalar route does, with the same message
+    def test_errors_as_scalar_route(self, braid_work, waypoints, scan_error):
+        # the walk raises NearDiscriminant at a step point below DELTA_FLOOR
+        # before it reaches the locus, in a few dozen root samples
         waypoints = [[complex(u), complex(v)] for u, v in waypoints]
-        anchor = elliptic._anchor_matrix().tolist()
-        with pytest.raises(error) as got:
-            elliptic._continue_basis(waypoints, anchor)
-        monkeypatch.setattr(elliptic, "_carlson_matrices",  # nothing settled
-                            lambda pts: (np.full((len(pts), 2, 2), np.nan), np.zeros(len(pts), bool)))
-        with pytest.raises(error) as want:
-            elliptic._continue_basis(waypoints, anchor)
-        assert str(got.value) == str(want.value)
+        with pytest.raises(scan_error):
+            oracles.oracle_continue_basis(waypoints, elliptic._anchor_matrix().tolist())
+
+        def walk():
+            with pytest.raises(NearDiscriminant):
+                elliptic._braid(waypoints)
+
+        assert braid_work(walk).samples <= 66
 
 
-def _spy_unit_steps(monkeypatch):
-    """Record, per ``_unit_steps`` call, how many segments it was offered and took."""
-    calls, unit_steps = [], elliptic._unit_steps
-
-    def spy(N, Q, points):
-        Ns = unit_steps(N, Q, points)
-        calls.append((len(points) // 2, len(Ns)))
-        return Ns
-
-    monkeypatch.setattr(elliptic, "_unit_steps", spy)
-    return calls
-
-
-def _both_scans(waypoints, T):
-    """The continued matrix, or the error class and message, of both scans."""
+def _both_routes(waypoints, B0):
+    """The integer matrix that carries the ordered basis ``B0`` at the first
+    waypoint to the ordered basis at the last, by the walk's word and by
+    rounding the scan's continued matrix; or each route's error class."""
     results = []
-    for scan in (elliptic._continue_basis, oracles.oracle_continue_basis):
-        try:
-            results.append(scan(waypoints, T))
-        except NumericalError as exc:
-            results.append((type(exc), str(exc)))
+    try:
+        start, word, end = elliptic._braid(waypoints)
+        results.append(np.array(elliptic._word_matrix(word)))
+    except NumericalError as exc:
+        results.append(type(exc))
+    try:
+        X = np.array(oracles.oracle_continue_basis(waypoints, B0.tolist()))
+        results.append(np.round((X @ np.linalg.inv(elliptic._ordered_basis(end))).real))
+    except NumericalError as exc:
+        results.append(type(exc))
     return results
 
 
 class TestUnitSteps:
+    """The walk against the rounding scan of ``oracles``, step by step."""
+
     @pytest.mark.parametrize("t2,t3", [(t2, t3) for t2, t3, _ in oracles.PERIODS_HARD],
                              ids=[f"hard{i}" for i in range(len(oracles.PERIODS_HARD))])
-    def test_default_paths_as_scalar_scan(self, monkeypatch, t2, t3):
-        calls = _spy_unit_steps(monkeypatch)
-        waypoints = default_path((t2, t3)).waypoints.tolist()
-        got, want = _both_scans(waypoints, elliptic._anchor_matrix().tolist())
-        assert got == want
-        assert sum(taken for _, taken in calls) > 0 or len(waypoints) == 2  # the pinned points
+    def test_default_paths_as_scalar_scan(self, t2, t3):
+        got = period_matrix((t2, t3)).entries
+        want = oracles.oracle_period_matrix((t2, t3))
+        assert np.array_equal(_integer_basis(got, (t2, t3)), _integer_basis(want, (t2, t3)))
 
-    def test_run_cut_by_an_unsettled_point(self, monkeypatch):
-        # the kernel leaves the end of segment 20 and the midpoint of
-        # segment 40 of the loop unsettled; the scan computes them itself,
-        # and the array pass takes the runs between
-        kernel = elliptic._carlson_matrices
-
-        def cut_kernel(points):
-            Qs, settled = kernel(points)
-            Qs[[40, 81]], settled[[40, 81]] = np.nan, False
-            return Qs, settled
-
-        monkeypatch.setattr(elliptic, "_carlson_matrices", cut_kernel)
-        calls = _spy_unit_steps(monkeypatch)
+    def test_loop_as_scalar_scan(self):
+        # around the unipotent loop the word carries the ordered basis to
+        # itself by the one matrix the scan's roundings give
         waypoints = gaussmanin.circle_loop(4.0, oracles.T3_ROOT, 0.6).waypoints.tolist()
-        Q0 = np.array(elliptic._carlson_matrix(waypoints[0])).tolist()
-        got, want = _both_scans(waypoints, Q0)
-        assert got == want
-        # offered the rest of the loop each time, it takes segments 1-19, 21-39 and 41-63
-        assert calls == [(63, 19), (43, 19), (23, 23)]
+        B0 = elliptic._ordered_basis(_ordered_roots(waypoints[0]))
+        got, want = _both_routes(waypoints, B0)
+        assert np.array_equal(got, want) and not np.array_equal(got, np.eye(2))
 
     @pytest.mark.parametrize("waypoints", [
-        # twelve unit steps, then a singular corner and one more segment
+        # twelve steps of a circle, then a singular corner and one more segment
         [(4, 2j + 0.5 * cmath.exp(1j * a)) for a in np.linspace(0, 2, 13)] + [(3, 1), (5, 1j)],
-        # a run of unit steps, then a segment through the locus (t3 = sqrt(64/27))
+        # twelve segments, then a segment through the locus (t3 = sqrt(64/27))
         [(4, 0.1j * k) for k in range(12)] + [(4, 1.1j), (4, 2.0), (4, 1.0), (4, 1j)],
     ], ids=["singular-corner", "crossing"])
-    def test_errors_as_scalar_scan(self, monkeypatch, waypoints):
-        calls = _spy_unit_steps(monkeypatch)
+    def test_errors_as_scalar_scan(self, waypoints):
         waypoints = [[complex(u), complex(v)] for u, v in waypoints]
-        got, want = _both_scans(waypoints, elliptic._anchor_matrix().tolist())
-        assert got == want and issubclass(got[0], NumericalError)
-        assert sum(taken for _, taken in calls) > 0
+        got, want = _both_routes(waypoints, elliptic._anchor_matrix())
+        assert got is want is NearDiscriminant
 
 
 def _close_to_frozen(got, ref):
@@ -786,20 +785,13 @@ class TestHardPoints:
     def test_frozen_reference(self, t2, t3, ref):
         assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)
 
-    def test_carlson_matrix_calls(self, carlson_work):
-        # the continuation's step schedule: distinct step points the scan
-        # reads, and the end corners and midpoints the kernel computes first
+    def test_root_samples_and_swaps(self, braid_work):
+        # the walk's certified steps and the letters of its word
         elliptic._anchor_matrix()
-        works = [carlson_work(lambda: period_matrix((t2, t3)))
-                 for t2, t3, _ in oracles.PERIODS_HARD]
-        assert [w.consulted for w in works] == [32, 28, 48, 97, 104, 147, 113, 114, 123, 119]
-        assert [w.computed for w in works] == [2, 2, 28, 52, 52, 52, 52, 52, 52, 52]
-        # each step point read is a settled kernel point or a scalar refinement
-        assert [w.consulted - w.scalar for w in works] == \
-            [w.computed - len(w.unused[0]) for w in works]
-        # the kernel's extra points are first-pass midpoints the scan never reads
-        assert [w.unused[0] for w in works] == [[], [], [], [29], [29], [3, 5, 29], [29], [29],
-                                                 [29, 31, 33], [29, 31, 33]]
+        works = [braid_work(lambda: period_matrix((t2, t3))) for t2, t3, _ in oracles.PERIODS_HARD]
+        assert [w.samples for w in works] == [19, 16, 26, 83, 78, 95, 85, 76, 83, 94]
+        assert [w.swaps for w in works] == [0, 0, 1, 3, 2, 2, 7, 3, 3, 3]
+        assert [w.walks for w in works] == [1] * 10
 
     def test_no_ode_and_no_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -813,3 +805,110 @@ class TestHardPoints:
         monkeypatch.setattr(numerics, "leggauss", forbidden)
         t2, t3, ref = oracles.PERIODS_HARD[2]  # a band_slow point
         assert _close_to_frozen(period_matrix((t2, t3)).entries, ref)
+
+
+def _half_twist(k, sigma):
+    """S of the half twist (k, sigma): the ordered basis after the swap is
+    S times the continued one before it (Picard-Lefschetz)."""
+    return np.array([[1, 0], [-sigma, 1]] if k == 1 else [[1, sigma], [0, 1]])
+
+
+def _box_point(rng, s, real):
+    if real:
+        return complex(rng.uniform(-s, s)), complex(rng.uniform(-s, s))
+    return complex(*rng.uniform(-s, s, 2)), complex(*rng.uniform(-s, s, 2))
+
+
+class TestBraid:
+    def test_half_twist_table(self):
+        # on short seeded segments whose walk swaps one pair once, rounding
+        # the scan's continuation of the ordered basis against the ordered
+        # basis after the swap gives S^-1, for both positions and both sides
+        rng = np.random.default_rng(71)
+        seen = {}
+        while min(seen.values(), default=0) < 3 or len(seen) < 4:
+            t = np.array(_box_point(rng, 3.0, False))
+            u = t + 0.3 * np.array(_box_point(rng, 1.0, False))
+            try:
+                start, word, end = elliptic._braid([t.tolist(), u.tolist()])
+            except NearDiscriminant:
+                continue
+            if len(word) != 1:
+                continue
+            S_inv = np.linalg.inv(_half_twist(*word[0])).round()
+            B0, B1 = elliptic._ordered_basis(start), elliptic._ordered_basis(end)
+            scan = np.array(oracles.oracle_continue_basis([t.tolist(), u.tolist()], B0.tolist()))
+            assert np.array_equal(np.round((scan @ np.linalg.inv(B1)).real), S_inv), (t, u)
+            assert np.array_equal(elliptic._word_matrix(word), S_inv)
+            seen[word[0]] = seen.get(word[0], 0) + 1
+        assert sorted(seen) == [(1, -1), (1, 1), (2, -1), (2, 1)]
+
+    @pytest.mark.parametrize("waypoints", [
+        lambda: default_path(oracles.PERIODS_HARD[3][:2]).waypoints,
+        lambda: default_path(oracles.PERIODS_HARD[6][:2]).waypoints,
+        lambda: default_path((300.0 - 250.0j, -400.0 + 80.0j)).waypoints,
+        lambda: circle_loop(4.0, oracles.T3_ROOT, 0.6).waypoints,
+    ], ids=["hard3", "hard6", "large", "loop"])
+    def test_roots_stay_in_their_disks(self, monkeypatch, waypoints):
+        # 16 interior points of every step: each disk of radius r = min gap / 4
+        # about a root at the step's start holds exactly one root
+        samples, roots = [], elliptic._roots
+        monkeypatch.setattr(elliptic, "_roots",
+                            lambda p: samples.append((p, roots(p))) or samples[-1][1])
+        elliptic._braid(waypoints().tolist())
+        assert len(samples) > 20
+        for (p, x), (q, _) in zip(samples, samples[1:]):
+            r = 0.25 * min(abs(x[0] - x[1]), abs(x[0] - x[2]), abs(x[1] - x[2]))
+            a, b = np.array([p.t2, p.t3]), np.array([q.t2, q.t3])
+            for j in range(1, 17):
+                y = curve_roots(a + j / 17.0 * (b - a))
+                assert all(np.sum(np.abs(y - e) < r) == 1 for e in x), (p, q, j)
+
+    def test_large_scale_as_the_scan(self):
+        # s = 500, where 8 uniform root samples per segment missed swaps:
+        # the certified steps give the scan's integers wherever it answers
+        rng = np.random.default_rng(500)
+        answered = 0
+        for _ in range(300):
+            t = _box_point(rng, 500.0, False)
+            try:
+                want = oracles.oracle_period_matrix(t)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    period_matrix(t)
+                continue
+            got = period_matrix(t).entries
+            assert np.array_equal(_integer_basis(got, t), _integer_basis(want, t)), t
+            answered += 1
+        assert answered == 300
+
+    @pytest.mark.parametrize("s,answers,budget", [(0.1, 3, 29), (5.0, 97, 27)])
+    def test_real_band_as_the_scan(self, braid_work, s, answers, budget):
+        # the walk answers exactly where the scan does, with its integers;
+        # elsewhere a step point is below DELTA_FLOOR, within a few dozen
+        # root samples
+        rng = np.random.default_rng(7)
+        got, want, failed = set(), set(), []
+        for i in range(100):
+            t = _box_point(rng, s, True)
+            try:
+                want_P = oracles.oracle_period_matrix(t)
+                want.add(i)
+            except NumericalError:
+                pass
+            out = []
+
+            def call():
+                try:
+                    out.append(period_matrix(t).entries)
+                except NearDiscriminant:
+                    pass
+
+            work = braid_work(call)
+            if out:
+                got.add(i)
+                assert np.array_equal(_integer_basis(out[0], t), _integer_basis(want_P, t)), t
+            else:
+                failed.append(work.samples)
+        assert got == want and len(got) == answers
+        assert max(failed) == budget

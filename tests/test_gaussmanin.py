@@ -214,19 +214,19 @@ class TestMonodromyRoutes:
 
     @pytest.mark.parametrize("enclosed", [0, 1, 2])
     @pytest.mark.parametrize("turns", [1, -1, 2, -2])
-    def test_continuation_matches_scalar_scan(self, monkeypatch, enclosed, turns):
-        # runs of unit steps go through one array pass, and the continued
-        # matrix is still the step-by-step scan's, bit for bit
+    def test_continuation_matches_scalar_scan(self, enclosed, turns):
+        # the word's integer matrix is the one the rounding scan gives when
+        # it carries the ordered basis of the start around the loop
         rng = np.random.default_rng(500 + 10 * enclosed + turns)
         t2, center, radius = seeded_circle(rng, enclosed, real_t2=turns > 0)
         waypoints = circle_loop(t2, center, radius, turns).waypoints.tolist()
-        Q0 = np.array(gaussmanin.elliptic._carlson_matrix(waypoints[0])).tolist()
-        taken, unit_steps = [], gaussmanin.elliptic._unit_steps
-        monkeypatch.setattr(gaussmanin.elliptic, "_unit_steps",
-                            lambda *args: taken.append(len(Ns := unit_steps(*args))) or Ns)
-        got = gaussmanin.elliptic._continue_basis(waypoints, Q0)
-        assert got == oracles.oracle_continue_basis(waypoints, Q0)
-        assert sum(taken) > 0
+        start, word, end = gaussmanin.elliptic._braid(waypoints)
+        assert end == start  # the ordered basis at the end is the one at the start
+        B0 = gaussmanin.elliptic._ordered_basis(start)
+        scan = np.array(oracles.oracle_continue_basis(waypoints, B0.tolist()))
+        assert np.array_equal(gaussmanin.elliptic._word_matrix(word),
+                              np.round((scan @ np.linalg.inv(B0)).real))
+        assert len(word) >= enclosed * abs(turns)
 
     def test_no_ode(self, monkeypatch, unipotent_loop):
         def forbidden(*args, **kwargs):
@@ -249,15 +249,12 @@ class TestMonodromyRoutes:
         assert np.array_equal(got.entries, want)
         assert np.array_equal(got.entries, G @ oracles.M_LOOP @ np.linalg.inv(G).round())
 
-    def test_loop_that_does_not_close(self, monkeypatch, unipotent_loop):
-        # the end matrix is rounded once, with the basis change, so a
-        # continuation that misses M_Q Q0 by 0.01 is not rounded away
-        P0 = period_matrix(tuple(unipotent_loop.start))
-        continue_basis = gaussmanin.elliptic._continue_basis
-        monkeypatch.setattr(gaussmanin.elliptic, "_continue_basis",
-                            lambda w, T: (np.array(continue_basis(w, T)) + 0.01).tolist())
+    def test_loop_that_does_not_close(self, unipotent_loop):
+        # the word is exact, and the basis change is rounded once with it,
+        # so a basepoint matrix 0.01 off a period matrix is not rounded away
+        P0 = period_matrix(tuple(unipotent_loop.start)).entries
         with pytest.raises(NonIntegralMonodromy):
-            monodromy(unipotent_loop, P0)
+            monodromy(unipotent_loop, P0 + 0.01)
 
     @pytest.mark.parametrize("P0", [[[1e300, 1e300], [0.0, 1e-300]], 1e200 * np.eye(2)],
                              ids=["unit-determinant", "scaled"])
@@ -287,15 +284,12 @@ class TestWorkCounts:
         circle_loop(4.0, oracles.T3_ROOT, 0.6, sides=64, turns=2)
         assert calls == [(385, 2)]
 
-    def test_monodromy_carlson_matrix_calls(self, carlson_work, unipotent_loop):
+    def test_monodromy_root_samples(self, braid_work, unipotent_loop):
         gaussmanin.elliptic._anchor_matrix()
-        work = carlson_work(lambda: monodromy(unipotent_loop))
-        # Q0 and the step points of the two scans (basepoint path and loop)
-        assert 1 + work.consulted == 157
-        assert work.computed == work.consulted and work.unused == [[], []]
-        # the array pass takes the 13 segments after the first of the
-        # basepoint's default path, and the 63 after the first of the loop
-        assert work.unit_segments == 76
+        work = braid_work(lambda: monodromy(unipotent_loop))
+        # the basepoint's default path and the loop, one walk each; one swap
+        # on the path and one half twist around the enclosed point
+        assert (work.samples, work.swaps, work.walks) == (82, 2, 2)
 
 
 class TestLoopCertificate:

@@ -83,6 +83,12 @@ class TestParamPath:
             with pytest.raises(ValidationError, match="shape"):
                 ParamPath(waypoints, discriminant=hook)
 
+    @pytest.mark.parametrize("hook", [lambda p: ['a'] * len(p), lambda p: [object()] * len(p)],
+                             ids=["strings", "objects"])
+    def test_hook_values_that_are_no_numbers_rejected(self, hook):
+        with pytest.raises(ValidationError, match="not numbers"):
+            ParamPath([[1.0], [2.0]], discriminant=hook)
+
     def test_clearance_bounds_a_cubic(self):
         # (s - 0.5 - 0.01i)(s + 2)(s - 3) on [0, 1]: the bound is |lead|
         # times the distances 0.01, 2 and 2 of the roots from [0, 1]
