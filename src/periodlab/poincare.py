@@ -1,6 +1,11 @@
 """Integer symplectic group elements, coset enumeration, slash operators,
 and truncated Poincare series, each one sum of p(A x) over the coset table.
 
+The series read the table one height shell at a time: p gets a (2, 2, n)
+array y whose entry y[i, j] holds (A x)[i, j] over the shell's n cosets and
+returns n values, or one for all n (any other shape raises ValidationError).
+So p acts entry by entry, as ``x[0, 0] ** -4`` does, never over the shell.
+
 Matrices act on the left throughout: on period matrices by X -> A X and
 on the upper half-plane through the induced Moebius map. With that
 convention the automorphy factor j(z, A) = cz + d composes as
@@ -265,7 +270,8 @@ def slash(f, n, a):
 
 
 def _shell_tail(heights, shell_sizes):
-    """Crude tail bound from the decay of the last two nonzero shells."""
+    """Tail estimate from a power law fitted to the last two shell sizes: a
+    fit, not a bound, which the cancelling shell sums can make far too small."""
     if len(shell_sizes) < 2:
         return np.inf
     last, prev = shell_sizes[-1], shell_sizes[-2]
@@ -280,13 +286,21 @@ def _shell_tail(heights, shell_sizes):
     return float(last * h_last / (-power - 1.0))
 
 
+def _values(p, y, lead=2):
+    """p(y) over the axes of y past ``lead`` (the cosets), one value broadcast."""
+    values, n = p(y), y.shape[lead:]
+    if np.shape(values) not in ((), n):
+        raise ValidationError(f"the functional returned shape {np.shape(values)}, not () or {n}")
+    return np.broadcast_to(values, n)
+
+
 def _shell_series(stabilizer, height, p, x, tol):
     """Partial sums of p(A x) over the coset table, one height shell at a time.
 
-    Each shell of representatives moves x by one stacked matrix product and
-    p is called once per coset; the report carries the partial sum after
-    each shell plus a tail estimate fitted to the shell decay. A sum that
-    leaves the float range raises NumericalError.
+    p is called once per shell on the (2, 2, n) array of images A x (see the
+    module docstring), and each shell is summed in coset order. The report
+    carries the partial sum after each shell plus a tail estimate fitted to
+    the shell decay. A sum that leaves the float range raises NumericalError.
     """
     table, ends = _coset_table(stabilizer, height)
     heights = tuple(range(1, len(ends) + 1))
@@ -294,7 +308,9 @@ def _shell_series(stabilizer, height, p, x, tol):
     total = 0j
     with _float_range("the Poincare series"):
         for start, end in zip((0,) + ends, ends):
-            shell = sum(map(p, table[start:end] @ x), 0j)
+            a = table[start:end].transpose(1, 2, 0)  # a[i, j]: n entries
+            y = a[:, :1] * x[0, :, None] + a[:, 1:] * x[1, :, None]
+            shell = complex(np.cumsum(_values(p, y))[-1])
             total += shell
             partials.append(total)
             sizes.append(abs(shell))
@@ -309,7 +325,8 @@ def poincare_series_uhp(f, n, height, tau, tol=1e-6):
 
     It is the period series of P(X) = X21^(-n) f(X11 / X21) at X with first
     column (tau, 1), summed over the cosets of the upper-triangular
-    stabilizer (see ``_shell_series``).
+    stabilizer (see ``_shell_series``). f is called once per height shell on
+    the (n,) array of images A tau and acts elementwise, or returns one number.
     """
     n, tau = _integer("weight n", n, -MAX_WEIGHT, MAX_WEIGHT), _number("tau", tau)
     tol = _positive("tol", tol)
@@ -317,7 +334,7 @@ def poincare_series_uhp(f, n, height, tau, tol=1e-6):
         raise ValidationError(f"tau must be a point of the upper half-plane, got {tau}")
 
     def p(y):
-        return y[1, 0] ** (-n) * f(y[0, 0] / y[1, 0])
+        return y[1, 0] ** (-n) * _values(f, y[0, 0] / y[1, 0], 0)
 
     return _shell_series("upper", height, p, np.array([[tau, 0], [1, 0]]), tol)
 
@@ -340,9 +357,9 @@ def _check_stabilizer(p, stabilizer, rng):
             raise ValidationError(f"unknown stabilizer id {stabilizer!r}")
     for _ in range(4):
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        base = p(x)
+        base = _values(p, x)
         for s in samples:
-            moved = p(s.astype(complex) @ x)
+            moved = _values(p, s.astype(complex) @ x)
             if abs(moved - base) > 1e-8 * max(1.0, abs(base)):
                 raise StabilizerMismatch(
                     f"P is not invariant under the declared {stabilizer!r} stabilizer"
@@ -355,7 +372,8 @@ def period_poincare(p, pm, stabilizer="lower", height=50, tol=1e-6, seed=0):
 
     The declared stabilizer is validated by sampling before any summing;
     a functional that is not invariant under it raises StabilizerMismatch
-    rather than silently producing an order-dependent number.
+    rather than silently producing an order-dependent number. P then gets one
+    (2, 2, n) array per height shell (see the module docstring).
     """
     height, tol = _integer("height", height, 1), _positive("tol", tol)
     rng = np.random.default_rng(_integer("seed", seed, 0))
@@ -364,14 +382,8 @@ def period_poincare(p, pm, stabilizer="lower", height=50, tol=1e-6, seed=0):
     if x.shape != (2, 2):
         raise SizeMismatch("period Poincare series needs a 2x2 matrix")
     if stabilizer == "full":
-        value = complex(p(x))
-        return PartialSumsReport(
-            heights=(0,),
-            partial_sums=(value,),
-            tail_estimate=0.0,
-            tolerance=tol,
-            converged=True,
-        )
+        return PartialSumsReport(heights=(0,), partial_sums=(complex(_values(p, x)),),
+                                 tail_estimate=0.0, tolerance=tol, converged=True)
     return _shell_series(stabilizer, height, p, x, tol)
 
 

@@ -456,35 +456,57 @@ def oracle_coset_table(stabilizer, height):
     return np.array(rows, dtype=np.int64), tuple(ends)
 
 
+def _shell_report(shells, tol):
+    """(partial_sums, tail_estimate, converged, abs_sums) of a series given as
+    its shells' term lists, each summed left to right in Python complex;
+    abs_sums[k] is the running sum of |term| through shell k + 1."""
+    total, mass, partials, sizes, abs_sums = 0j, 0.0, [], [], []
+    for terms in shells:
+        shell = sum(terms, 0j)
+        total += shell
+        mass += sum(map(abs, terms))
+        partials.append(total)
+        sizes.append(abs(shell))
+        abs_sums.append(mass)
+    tail = poincare._shell_tail(tuple(range(1, len(sizes) + 1)), sizes)
+    settled = len(partials) >= 2 and abs(partials[-1] - partials[-2]) <= tol and tail <= tol
+    return tuple(partials), tail, bool(settled), tuple(abs_sums)
+
+
 def oracle_uhp_series(f, weights, height, tau, tol=1e-6):
     """The classical Poincare series by its own per-coset loop.
 
     Over the same coset table as ``poincare_series_uhp``, each row is cast
     to float, and c tau + d and the Moebius image A tau are formed one coset
     at a time; one f call per coset serves every weight in ``weights``.
-    Returns {n: (partial_sums, tail_estimate, converged)}.
+    Returns {n: (partial_sums, tail_estimate, converged, abs_sums)}.
     """
     table, ends = poincare._coset_table("upper", height)
     tau = complex(tau)
-    totals = dict.fromkeys(weights, 0j)
-    partials = {n: [] for n in weights}
-    sizes = {n: [] for n in weights}
-    for start, end in zip((0,) + ends, ends):
-        terms = [(a[1, 0] * tau + a[1, 1], f(poincare.moebius(a, tau)))
-                 for a in table[start:end].astype(float)]
-        for n in weights:
-            shell = sum((j ** (-n) * w for j, w in terms), 0j)
-            totals[n] += shell
-            partials[n].append(totals[n])
-            sizes[n].append(abs(shell))
-    heights = tuple(range(1, height + 1))
-    out = {}
-    for n in weights:
-        tail = poincare._shell_tail(heights, sizes[n])
-        settled = (len(partials[n]) >= 2 and abs(partials[n][-1] - partials[n][-2]) <= tol
-                   and tail <= tol)
-        out[n] = (tuple(partials[n]), tail, bool(settled))
-    return out
+    shells = [[(a[1, 0] * tau + a[1, 1], f(poincare.moebius(a, tau)))
+               for a in table[start:end].astype(float)]
+              for start, end in zip((0,) + ends, ends)]
+    return {n: _shell_report(([j ** (-n) * w for j, w in terms] for terms in shells), tol)
+            for n in weights}
+
+
+def oracle_period_series(p, x, stabilizer, height, tol=1e-6):
+    """The period Poincare series by its own per-coset loop.
+
+    Over the same coset table as ``period_poincare``, A X is formed one coset
+    at a time in Python complex arithmetic, and p is called once per coset on
+    a (2, 2) object array of those Python complex entries. Returns
+    (partial_sums, tail_estimate, converged, abs_sums).
+    """
+    table, ends = poincare._coset_table(stabilizer, height)
+    x = [[complex(v) for v in row] for row in np.asarray(x)]
+
+    def term(a):
+        ax = [[a[i][0] * x[0][j] + a[i][1] * x[1][j] for j in (0, 1)] for i in (0, 1)]
+        return complex(p(np.array(ax, dtype=object)))
+
+    return _shell_report(([term(a) for a in table[start:end].tolist()]
+                          for start, end in zip((0,) + ends, ends)), tol)
 
 
 # --- frozen oracle outputs ---------------------------------------------------

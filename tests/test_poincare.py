@@ -232,20 +232,54 @@ UHP_FUNCTIONS = {"one": lambda z: 1.0, "q": lambda z: np.exp(2j * np.pi * z),
                  "square": lambda z: z ** 2}
 
 
+def assert_matches_oracle(rep, ref):
+    """Each partial sum within 1e-13 of the oracle's running sum of |term| (an
+    array sum may round each term differently from a per-coset one), the same
+    verdict, and the tail estimate to 1e-9 relative or both infinite."""
+    partials, tail, converged, abs_sums = ref
+    assert len(rep.partial_sums) == len(partials)
+    for ours, theirs, mass in zip(rep.partial_sums, partials, abs_sums):
+        assert abs(ours - theirs) <= 1e-13 * mass
+    assert rep.converged == converged
+    assert rep.tail_estimate == tail or abs(rep.tail_estimate - tail) <= 1e-9 * abs(tail)
+
+
+PERIOD_FUNCTIONALS = {"x11^-4": lambda x: x[0, 0] ** -4,
+                      "x11^-2 x12^-2": lambda x: x[0, 0] ** -2 * x[0, 1] ** -2}
+
+
+def seeded_period_matrix(seed):
+    rng = np.random.default_rng(seed)
+    t2, t3 = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+    return period_matrix((t2, t3))
+
+
 class TestOneSeriesEngine:
     @pytest.mark.parametrize("tau", UHP_TAUS)
     @pytest.mark.parametrize("name", sorted(UHP_FUNCTIONS))
     def test_classical_series_matches_per_coset_loop(self, tau, name):
-        # summing P(X) = X21^-n f(X11/X21) over A X changes no bit of the result
+        # summing P(X) = X21^-n f(X11/X21) over A X by shells changes no bit
+        # of the result for constant f; f's own array arithmetic (an FMA
+        # complex multiply, array z ** 2) may round its last bit differently
         f, weights = UHP_FUNCTIONS[name], (0, 2, 4, 6, 12)
         for height in (1, 5, 40, 120):
             ref = oracles.oracle_uhp_series(f, weights, height, tau)
             for n in weights:
                 rep = poincare_series_uhp(f, n, height, tau)
-                assert (rep.partial_sums, rep.tail_estimate, rep.converged) == ref[n]
+                if name == "one":
+                    assert (rep.partial_sums, rep.tail_estimate, rep.converged) == ref[n][:3]
+                else:
+                    assert_matches_oracle(rep, ref[n])
 
-    def test_one_functional_call_per_coset(self, pm):
-        cosets = len(oracles.oracle_coset_classes(12))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(PERIOD_FUNCTIONALS))
+    def test_period_series_matches_per_coset_loop(self, name, seed):
+        p, x = PERIOD_FUNCTIONALS[name], seeded_period_matrix(seed)
+        for height in (1, 5, 40, 200):
+            ref = oracles.oracle_period_series(p, x.entries, "lower", height)
+            assert_matches_oracle(period_poincare(p, x, "lower", height), ref)
+
+    def test_one_functional_call_per_shell(self, pm):
         calls = []
 
         def f(z):
@@ -253,11 +287,17 @@ class TestOneSeriesEngine:
             return 1.0
 
         poincare_series_uhp(f, 4, 12, 0.3 + 1.1j)
-        assert len(calls) == cosets
+        assert len(calls) == 12
         calls.clear()
         period_poincare(lambda x: f(x) * x[0, 0] ** (-4), pm, "lower", 12)
         # plus the stabilizer check: 4 sampled X, each alone and under 8 samples
-        assert len(calls) == cosets + 4 * 9
+        assert len(calls) == 12 + 4 * 9
+
+    def test_functional_value_of_another_shape_is_refused(self, pm):
+        with pytest.raises(ValidationError, match=r"shape \(2,\)"):
+            period_poincare(lambda x: x[0], pm, "lower", 3)
+        with pytest.raises(ValidationError, match=r"shape \(3,\)"):
+            poincare_series_uhp(lambda z: np.ones(3), 4, 3, 1j)
 
 
 class TestCocycle:
