@@ -7,6 +7,8 @@ real grid in one flag. Complex numbers serialize as two-element arrays
 back losslessly. Exit codes: 0 success, 2 rejected input, 3 numerical
 failure. ``main`` writes the envelope (``args.tol``, ``"command"`` and the
 ``{"error", "message"}`` JSON of exits 2 and 3); a handler returns its payload.
+Each handler imports the modules it uses, so a subcommand loads no others:
+``j-qexp`` and ``ks-count`` start without numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +17,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import domain as domain_mod
-from . import elliptic, gaussmanin, hodge, modular, poincare
 from .errors import NumericalError, ValidationError
-from .numerics import DEFAULT_TOL, ParamPath, _integer, _positive
+from .scalars import DEFAULT_TOL, _integer, _positive
+
+
+def __getattr__(name):  # cli.ParamPath, from numerics on first read as in the handlers
+    if name != "ParamPath":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .numerics import ParamPath
+    return ParamPath
 
 
 def parse_complex(text):
@@ -47,7 +53,7 @@ def _c(z):
 
 
 def _cmat(m):
-    return [[_c(v) for v in row] for row in np.asarray(m)]
+    return [[_c(v) for v in row] for row in m]
 
 
 def _json_to_complex(leaf):
@@ -60,10 +66,6 @@ def _json_to_complex(leaf):
     ):
         return complex(leaf[0], leaf[1])
     raise ValidationError(f"expected a complex value, got {leaf!r}")
-
-
-def _json_to_cmatrix(rows):
-    return np.array([[_json_to_complex(v) for v in row] for row in rows])
 
 
 def _resolve_tol(args):
@@ -83,8 +85,9 @@ def _resolve_tol(args):
 
 
 def cmd_periods(args):
+    from . import elliptic
     pm = elliptic.period_matrix((args.t2, args.t3))
-    target = elliptic.SIGMA * 2j * np.pi
+    target = elliptic.SIGMA * 2j * math.pi
     return {
         "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": args.tol},
         "matrix": _cmat(pm.entries),
@@ -95,6 +98,7 @@ def cmd_periods(args):
 
 
 def cmd_tau(args):
+    from . import elliptic
     value = elliptic.period_map_tau((args.t2, args.t3))
     return {
         "inputs": {"t2": _c(args.t2), "t3": _c(args.t3), "tol": args.tol},
@@ -111,6 +115,8 @@ def _read_json(path):
 
 
 def _load_path_file(path):
+    from . import elliptic, gaussmanin
+    from .numerics import ParamPath
     data = _read_json(path)
     loop = data.get("loop") if isinstance(data, dict) else None
     if loop is None and not isinstance(data, list):
@@ -129,11 +135,12 @@ def _load_path_file(path):
 
 
 def cmd_pf_transport(args):
+    from . import elliptic, gaussmanin
     path = _load_path_file(args.path_file)
     pm_start = elliptic.period_matrix(tuple(path.start))
     pm_end = gaussmanin.transport(path, pm_start, args.tol)
     quad_end = elliptic.period_matrix(tuple(path.end))
-    dev = float(np.max(np.abs(pm_end.entries - quad_end.entries)))
+    dev = float(abs(pm_end.entries - quad_end.entries).max())
     return {
         "inputs": {"path_file": args.path_file, "waypoints": len(path.waypoints),
                    "tol": args.tol},
@@ -148,6 +155,7 @@ def cmd_pf_transport(args):
 
 
 def cmd_monodromy(args):
+    from . import gaussmanin
     loop = gaussmanin.circle_loop(args.t2, args.center, args.radius,
                                   turns=args.turns)
     m = gaussmanin.monodromy(loop)
@@ -161,6 +169,7 @@ def cmd_monodromy(args):
 
 
 def cmd_eisenstein(args):
+    from . import modular
     if args.tau is None and (args.omega1 is None or args.omega2 is None):
         raise ValidationError("eisenstein needs --tau or both --omega1 and --omega2")
     if args.tau is not None:
@@ -182,6 +191,7 @@ def cmd_eisenstein(args):
 
 
 def cmd_j(args):
+    from . import modular
     value = modular.j_normalized(args.tau)
     return {
         "inputs": {"tau": _c(args.tau)},
@@ -195,9 +205,10 @@ MAX_QEXP_TERMS = 1000
 
 
 def cmd_j_qexp(args):
+    from .qseries import j_q_expansion
     if args.terms > MAX_QEXP_TERMS:
         raise ValidationError(f"--terms is at most {MAX_QEXP_TERMS}, got {args.terms}")
-    series = modular.j_q_expansion(args.terms)
+    series = j_q_expansion(args.terms)
     return {
         "inputs": {"terms": args.terms},
         "low": series.low,
@@ -206,19 +217,23 @@ def cmd_j_qexp(args):
 
 
 def _filtration_from_file(path):
+    import numpy as np
+    from . import hodge
     data = _read_json(path)
     if isinstance(data, dict) and "tau" in data:
         _, filt = hodge.elliptic_hs(_json_to_complex(data["tau"]))
         return filt
     try:
         phi = hodge.HodgeType(data["m"], data["h"], data["psi"])
-        levels = [_json_to_cmatrix(level) for level in data["levels"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"point file is missing required fields: {exc}")
+        levels = [np.array([[_json_to_complex(v) for v in row] for row in level])
+                  for level in data["levels"]]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged level rows
+        raise ValidationError(f"malformed point file: {type(exc).__name__}: {exc}") from None
     return hodge.HodgeFiltration.from_levels(phi, levels)
 
 
 def cmd_hodge_check(args):
+    from . import hodge
     filt = _filtration_from_file(args.point_file)
     dec = hodge.decomposition_from_filtration(filt)
     pol = hodge.verify_polarization(dec, args.tol)
@@ -240,13 +255,14 @@ def cmd_hodge_check(args):
 
 
 def cmd_domain_dims(args):
+    from . import domain
     try:
         h = tuple(int(v) for v in args.hodge_numbers.split(","))
     except ValueError:
         raise ValidationError(f"--hodge-numbers must be comma-separated integers, "
                               f"got {args.hodge_numbers!r}") from None
-    phi = domain_mod.standard_type(args.weight, h)
-    report = domain_mod.domain_dims(phi)
+    phi = domain.standard_type(args.weight, h)
+    report = domain.domain_dims(phi)
     return {
         "inputs": {"weight": args.weight, "hodge_numbers": list(h)},
         "dim_D": report.dim_D,
@@ -259,9 +275,10 @@ def cmd_domain_dims(args):
 
 
 def cmd_ks_count(args):
+    from .qseries import kodaira_spencer_count
     return {
         "inputs": {"n": args.n, "d": args.d},
-        "m": domain_mod.kodaira_spencer_count(args.n, args.d),
+        "m": kodaira_spencer_count(args.n, args.d),
     }
 
 
@@ -272,6 +289,7 @@ _FUNCTIONALS = {
 
 
 def cmd_poincare(args):
+    from . import elliptic, modular, poincare
     functional, stabilizer = _FUNCTIONALS[args.functional]
     pm = elliptic.period_matrix((args.t2, args.t3))
     report = poincare.period_poincare(functional, pm, stabilizer, args.height,
@@ -295,10 +313,11 @@ def cmd_poincare(args):
 
 
 def cmd_khodaya(args):
+    from . import elliptic
     k = elliptic.KhodayaPoint(args.t0, args.t1, args.t2, args.t3)
     pm = elliptic.khodaya_period_matrix(k)
     reduced, scale = elliptic.reduce_khodaya(k)
-    expected = elliptic.SIGMA * 2j * np.pi / args.t0
+    expected = elliptic.SIGMA * 2j * math.pi / args.t0
     return {
         "inputs": {"t0": _c(args.t0), "t1": _c(args.t1), "t2": _c(args.t2),
                    "t3": _c(args.t3), "tol": args.tol},
@@ -411,6 +430,7 @@ def _flatten(obj, prefix=""):
 
 
 def _parse_sweep(text):
+    import numpy as np
     try:
         flag, grid = text.split("=", 1)
         lo, hi, count = grid.split(":")

@@ -8,7 +8,6 @@ in the tests as oracles, not here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from .errors import UnsupportedType, ValidationError
 from .hodge import HodgeFiltration, HodgeType, _hodge_numbers, projector
-from .numerics import MAX_WEIGHT, _integer
+from .numerics import _integer
+from .qseries import kodaira_spencer_count  # noqa: F401  (re-exported)
 
 __all__ = [
     "HermitianCase",
@@ -185,9 +185,3 @@ def base_point(phi):
     f2 = np.hstack([v0, v1])
     f1 = np.hstack([v0, v1, np.conj(v1)])
     return HodgeFiltration.from_levels(phi, (f1, f2, v0))
-
-
-def kodaira_spencer_count(n, d):
-    """Effective parameter count for degree-d hypersurfaces in P^(n+1), n and d up to MAX_WEIGHT."""
-    n, d = _integer("n", n, 1, MAX_WEIGHT), _integer("d", d, 1, MAX_WEIGHT)
-    return math.comb(n + 1 + d, d) - (n + 2) ** 2

@@ -56,6 +56,10 @@ from .numerics import (
 
 INTEGRALITY_TOL = 1e-4
 
+# Largest |turns| of a circle_loop: its polygon has sides * |turns| + 1 waypoints,
+# and monodromy walks 64001 of them in about 1.4 s at 1000 turns of 64 sides.
+MAX_TURNS = 1000
+
 
 def connection_matrix(t, v) -> np.ndarray:
     """Connection contracted with the direction ``v = (v2, v3)``."""
@@ -98,12 +102,12 @@ def transport(path: ParamPath, basepoint_periods, tol: float = DEFAULT_TOL) -> e
 def circle_loop(t2, center, radius, turns: int = 1, sides: int = 64) -> ParamPath:
     """Closed polygonal loop in the t3 plane at fixed t2.
 
-    ``turns`` is a nonzero integer (not a bool), negative for the opposite
-    orientation; the circle of the given center and radius is approximated
-    by a ``sides``-gon per turn (an integer of at least 3), starting and
-    ending at ``center + radius``.
+    ``turns`` is a nonzero integer (not a bool) of modulus at most
+    ``MAX_TURNS``, negative for the opposite orientation; the circle of the
+    given center and radius is approximated by a ``sides``-gon per turn (an
+    integer of at least 3), starting and ending at ``center + radius``.
     """
-    sides, turns = _integer("sides", sides, 3), _integer("turns", turns)
+    sides, turns = _integer("sides", sides, 3), _integer("turns", turns, -MAX_TURNS, MAX_TURNS)
     if not turns:
         raise ValidationError("turns must be a nonzero integer")
     radius, t2, center = _positive("radius", radius), _number("t2", t2), _number("center", center)

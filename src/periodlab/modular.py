@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import NearCusp, NonConvergent, RealTau, UnsupportedType, ValidationError
 from .numerics import MAX_WEIGHT, _float_range, _integer, _number, _positive
-from .qseries import QSeries, bernoulli, eisenstein_normalized
+from .qseries import bernoulli
+from .qseries import eisenstein_normalized, j_q_expansion  # noqa: F401  (re-exported)
 
 __all__ = [
     "G6_SIGN",
@@ -241,32 +242,6 @@ def j_normalized(tau):
         delta *= (1.0 - q_n) ** 24
         q_n *= q
     return (eisenstein_q(4, reduced) / (2.0 * _riemann_zeta(4))) ** 3 / (1728.0 * delta)
-
-
-def _product(a, b):
-    """The first len(a) coefficients of the product of two power series."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
-def j_q_expansion(n_terms):
-    """Exact q-expansion of 1728 * j_normalized, starting at q^(-1).
-
-    Returns a QSeries with integer coefficients; n_terms counts the known
-    coefficients, so the truncation order is n_terms - 1. Since
-    E4^3 - E6^2 = 1728 Delta with Delta = q + ... an integer series
-    (Serre, A Course in Arithmetic, VII 4), 1728 j = E4^3 / Delta is the
-    integer recurrence c_k = (E4^3)_k - sum_{i=1..k} Delta_{i+1} c_{k-i}
-    for the coefficient c_k of q^(k-1).
-    """
-    n_terms = _integer("n_terms", n_terms, 1)
-    e4 = eisenstein_normalized(4, n_terms + 1).coeffs
-    e6 = eisenstein_normalized(6, n_terms + 1).coeffs
-    e4_cubed = _product(_product(e4, e4), e4)
-    delta = [(x - y) // 1728 for x, y in zip(e4_cubed, _product(e6, e6))]
-    c = []
-    for k in range(n_terms):
-        c.append(e4_cubed[k] - sum(delta[i + 1] * c[k - i] for i in range(1, k + 1)))
-    return QSeries(-1, tuple(c), n_terms - 1)
 
 
 @dataclass(frozen=True)

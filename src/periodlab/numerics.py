@@ -3,8 +3,8 @@
 All scalars are complex128; tolerances are absolute distances in the complex
 plane unless a docstring says otherwise.  Everything here is a pure function
 of its inputs, so results are reproducible bit for bit and safe to evaluate
-in parallel. ``_number`` (a finite ``numbers.Number``), ``_integer`` (4.0 is 4, True is
-refused) and ``_positive`` (positive and finite) read every scalar argument of the public API.
+in parallel. The scalar contract (``_number``, ``_integer``, ``_positive``) and the
+bounds ``DEFAULT_TOL`` and ``MAX_WEIGHT`` live in ``scalars`` and are re-exported here.
 
 ``ParamPath`` certifies a path against a discriminant hook that is a
 polynomial of degree at most 3 along each straight segment (t2^3 - 27 t3^2
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager, suppress
-from numbers import Number
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -42,8 +41,7 @@ from .errors import (
     StepUnderflow,
     ValidationError,
 )
-
-DEFAULT_TOL = 1e-10
+from .scalars import DEFAULT_TOL, MAX_WEIGHT, _integer, _number, _positive  # noqa: F401
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -397,40 +395,6 @@ def _integer_det(a):
             m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
         prev = m[k][k]
     return det * prev
-
-
-# Largest |weight| (the j-qexp cap) and ks-count n, d: work grows with it; (c tau + d)^-n
-# loses phase near 2^53, and binomial(2001, 1000) already has about 600 digits.
-MAX_WEIGHT = 1000
-
-
-def _number(name, value) -> complex:
-    """``value`` as a finite complex number, or ValidationError naming the field."""
-    if isinstance(value, Number):
-        try:
-            if cmath.isfinite(z := complex(value)):
-                return z
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValidationError(f"{name} must be a finite number, got {value!r}")
-
-
-def _integer(name, value, low=-math.inf, high=math.inf) -> int:
-    """``value`` as an int in [low, high] by the rule of ``exact_integers``, else ValidationError."""
-    with suppress(ValidationError):
-        n = exact_integers(value, ValidationError, name)
-        if not n.ndim and low <= n <= high:
-            return int(n)
-    bound = " and ".join(f"{o} {v}" for o, v in ((">=", low), ("<=", high)) if math.isfinite(v))
-    raise ValidationError(f"{name} must be an integer {bound}".rstrip() + f", got {value!r}")
-
-
-def _positive(name, value) -> float:
-    """``value`` as a positive finite float, or ValidationError naming the field."""
-    with suppress(ValidationError):
-        if not (z := _number(name, value)).imag and z.real > 0.0:
-            return z.real
-    raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @contextmanager

@@ -288,7 +288,12 @@ def _shell_tail(heights, shell_sizes):
 
 def _values(p, y, lead=2):
     """p(y) over the axes of y past ``lead`` (the cosets), one value broadcast."""
-    values, n = p(y), y.shape[lead:]
+    try:
+        values = p(y)
+    except np.linalg.LinAlgError as exc:  # np.linalg.det reduces over the last two axes
+        raise ValidationError(f"the functional must act entry by entry on the array of "
+                              f"images, not over its axes: {exc}") from None
+    n = y.shape[lead:]
     if np.shape(values) not in ((), n):
         raise ValidationError(f"the functional returned shape {np.shape(values)}, not () or {n}")
     return np.broadcast_to(values, n)

@@ -1,10 +1,12 @@
-"""Exact truncated q-expansions: a coefficient record and its integer sources.
+"""Exact integer routines: truncated q-expansions and a parameter count.
 
 A `QSeries` only records coefficients; it does no arithmetic. The
 divisor sums and the normalized Eisenstein series here have integer
 coefficients (rational ones for weights whose multiplier -2k/B_k is not
 an integer), and they feed the one exact expansion in the package,
-that of 1728 j (`modular.j_q_expansion`).
+that of 1728 j (`j_q_expansion`, re-exported by `modular`). The module
+does not import numpy, so `periodlab j-qexp` and `periodlab ks-count`
+(`kodaira_spencer_count`, re-exported by `domain`) start without it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .numerics import MAX_WEIGHT, _integer
+from .scalars import MAX_WEIGHT, _integer
 
-__all__ = ["QSeries", "bernoulli", "sigma_series", "eisenstein_normalized"]
+__all__ = ["QSeries", "bernoulli", "sigma_series", "eisenstein_normalized", "j_q_expansion",
+           "kodaira_spencer_count"]
 
 
 @dataclass(frozen=True)
@@ -91,3 +94,35 @@ def eisenstein_normalized(k, n_terms):
         mult = int(mult)
     terms = (mult * c for c in sigma_series(k - 1, n_terms).coeffs)
     return QSeries(0, (1, *(int(c) if c.denominator == 1 else c for c in terms)), n_terms)
+
+
+def _product(a, b):
+    """The first len(a) coefficients of the product of two power series."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def j_q_expansion(n_terms):
+    """Exact q-expansion of 1728 * j_normalized, starting at q^(-1).
+
+    Returns a QSeries with integer coefficients; n_terms counts the known
+    coefficients, so the truncation order is n_terms - 1. Since
+    E4^3 - E6^2 = 1728 Delta with Delta = q + ... an integer series
+    (Serre, A Course in Arithmetic, VII 4), 1728 j = E4^3 / Delta is the
+    integer recurrence c_k = (E4^3)_k - sum_{i=1..k} Delta_{i+1} c_{k-i}
+    for the coefficient c_k of q^(k-1).
+    """
+    n_terms = _integer("n_terms", n_terms, 1)
+    e4 = eisenstein_normalized(4, n_terms + 1).coeffs
+    e6 = eisenstein_normalized(6, n_terms + 1).coeffs
+    e4_cubed = _product(_product(e4, e4), e4)
+    delta = [(x - y) // 1728 for x, y in zip(e4_cubed, _product(e6, e6))]
+    c = []
+    for k in range(n_terms):
+        c.append(e4_cubed[k] - sum(delta[i + 1] * c[k - i] for i in range(1, k + 1)))
+    return QSeries(-1, tuple(c), n_terms - 1)
+
+
+def kodaira_spencer_count(n, d):
+    """Effective parameter count for degree-d hypersurfaces in P^(n+1), n and d up to MAX_WEIGHT."""
+    n, d = _integer("n", n, 1, MAX_WEIGHT), _integer("d", d, 1, MAX_WEIGHT)
+    return math.comb(n + 1 + d, d) - (n + 2) ** 2

@@ -263,6 +263,14 @@ class TestMonodromy:
         assert doc["trace"] == 2
         assert doc["diagnostics"]["integer_deviation"] <= 1e-4
 
+    @pytest.mark.parametrize("turns", ["1001", "-1000000"])
+    def test_turns_past_the_cap_exit_2(self, capsys, turns):
+        code, out, err = run(capsys, "monodromy", "--t2", "4", "--center", "1.5",
+                             "--radius", "0.6", "--turns", turns)
+        assert code == 2
+        assert out == ""
+        assert "<= 1000" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("center,radius", [("nan", "1"), ("0", "inf")])
     def test_non_finite_loop_exits_2(self, capsys, center, radius):
         with warnings.catch_warnings():
@@ -332,11 +340,12 @@ class TestTransport:
         {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": "nan"}},
         {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": 1.5}},
         {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": True}},
+        {"loop": {"t2": 4, "center": 1.5, "radius": 0.6, "turns": 1000000}},
         [[4], [5]],
         [4, 5],
         [[4, 0, 1], [4, 1, 2]],
     ], ids=["no-radius", "radius-text", "turns-text", "turns-fraction", "turns-bool",
-            "one-coordinate", "bare-numbers", "three-coordinates"])
+            "turns-past-the-cap", "one-coordinate", "bare-numbers", "three-coordinates"])
     def test_malformed_path_file_exits_2(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(content))
@@ -427,6 +436,15 @@ class TestHodgeCheck:
         f.write_text(json.dumps(point))
         code, _, err = run(capsys, "hodge-check", "--point-file", str(f))
         assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
+
+    def test_ragged_levels_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "point.json"
+        f.write_text(json.dumps({"m": 1, "h": [1, 1], "psi": [[0, 1], [-1, 0]],
+                                 "levels": [[[1], [2, 3]]]}))
+        code, out, err = run(capsys, "hodge-check", "--point-file", str(f))
+        assert code == 2
+        assert out == ""
         assert json.loads(err)["error"] == "ValidationError"
 
     @pytest.mark.parametrize("content", [5, ["tau"]], ids=["number", "list"])

@@ -1,7 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
 import types
+
+import pytest
 
 import periodlab
 
@@ -114,6 +117,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["ks-count", "--n", "2", "--d", "4"], ["numpy"]),
+    (["j-qexp", "--terms", "6"], ["numpy"]),
+    (["periods", "--t2", "4", "--t3", "0"],
+     ["periodlab.hodge", "periodlab.poincare", "periodlab.domain"]),
+], ids=["ks-count", "j-qexp", "periods"])
+def test_cold_subcommand_imports_only_what_it_runs(argv, absent):
+    code = ("import sys\nfrom periodlab.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(sorted(sys.modules), file=sys.stderr)\nsys.exit(code)")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = ast.literal_eval(run.stderr.splitlines()[-1])
+    assert "periodlab.errors" in loaded
+    assert not [m for m in loaded if m in absent or m.split(".")[0] in absent]
 
 
 def test_benchmark_tracer_finds_every_name():

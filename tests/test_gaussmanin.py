@@ -311,12 +311,18 @@ class TestContracts:
             with pytest.raises(ValidationError):
                 circle_loop(4.0, 4.0j, 0.5, sides=sides)
 
-    @pytest.mark.parametrize("turns", [1.5, 0.5, float("nan"), True, False])
+    @pytest.mark.parametrize("turns", [1.5, 0.5, float("nan"), True, False, 1001, -1001,
+                                       10 ** 6])
     def test_circle_loop_turns(self, turns):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
                 circle_loop(4.0, 4.0j, 0.5, turns=turns)
+
+    def test_circle_loop_most_turns(self):
+        assert gaussmanin.MAX_TURNS == 1000
+        loop = circle_loop(4.0, 4.0j, 0.5, turns=-gaussmanin.MAX_TURNS)
+        assert loop.waypoints.shape == (64001, 2)
 
     def test_circle_loop_fewest_sides(self):
         assert circle_loop(4.0, 4.0j, 0.5, sides=3).waypoints.shape == (4, 2)

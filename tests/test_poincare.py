@@ -298,6 +298,9 @@ class TestOneSeriesEngine:
             period_poincare(lambda x: x[0], pm, "lower", 3)
         with pytest.raises(ValidationError, match=r"shape \(3,\)"):
             poincare_series_uhp(lambda z: np.ones(3), 4, 3, 1j)
+        # det over the last two axes of a (2, 2, n) shell, not entry by entry
+        with pytest.raises(ValidationError, match="entry by entry"):
+            period_poincare(np.linalg.det, pm, "lower", 5)
 
 
 class TestCocycle:

@@ -1,8 +1,8 @@
 """One scalar contract for the public API.
 
-Every scalar argument is read by ``numerics._number`` (a finite complex number),
-``numerics._integer`` (an int; integral floats are accepted, bools refused)
-or ``numerics._positive`` (a positive finite float). A malformed scalar
+Every scalar argument is read by ``scalars._number`` (a finite complex number),
+``scalars._integer`` (an int; integral floats are accepted, bools refused)
+or ``scalars._positive`` (a positive finite float). A malformed scalar
 raises ``ValidationError``; an integral float gives what the int gives.
 """
 
@@ -170,13 +170,25 @@ def _integral_above(value, cap):
             and cap < abs(z.real) <= 2.0 ** 53)
 
 
+# ints at and beyond the bounds of the contract: small lower bounds, MAX_WEIGHT,
+# the exact floats and the int64 range
+EDGES = sorted({s * v for s in (1, -1) for v in (0, 1, 2, 3, MAX_WEIGHT, MAX_WEIGHT + 1,
+                                                 MAX_WEIGHT + 2, 2 ** 53, 2 ** 53 + 1,
+                                                 2 ** 63 - 1, 2 ** 63, 2 ** 64)})
+
+
 def scalars(low=None, high=None):
-    """Booleans, text, None, floats and complex numbers (nan and inf included) and
-    integers. A slot that sizes the work draws its integers from [low, high] and
-    no integral float or complex number above ``high``."""
+    """Booleans, text, None, floats and complex numbers (nan and inf included),
+    integers, the ``EDGES`` and numpy integers. A slot that sizes the work draws
+    its integers from [low, high] and no integral float or complex number above
+    ``high``."""
     ints = st.integers() if high is None else st.integers(low, high)
+    edges = st.sampled_from([v for v in EDGES if high is None or v <= high])
+    numpy_ints = st.one_of(
+        st.one_of(ints, edges).filter(lambda v: -2 ** 63 <= v < 2 ** 63).map(np.int64),
+        edges.filter(lambda v: 0 <= v < 2 ** 64).map(np.uint64))
     kinds = st.one_of(st.booleans(), st.text(max_size=4), st.none(), st.floats(),
-                      st.complex_numbers(), ints)
+                      st.complex_numbers(), ints, edges, numpy_ints)
     if high is None:
         return kinds
     return kinds.filter(lambda v: not _integral_above(v, high))
@@ -250,7 +262,17 @@ SLOTS = [
 def test_any_scalar_answers_or_raises_a_typed_error(call, values, numerical, data):
     value = data.draw(values, label="value")
     typed = (ValidationError, NumericalError) if numerical else ValidationError
+    outcome = _outcome(call, value, typed)
+    if type(value) is int and -2 ** 63 <= value < 2 ** 64:
+        # an int is read without numpy, its numpy twin by exact_integers
+        twin = np.int64(value) if value < 2 ** 63 else np.uint64(value)
+        assert _outcome(call, twin, typed) == outcome
+
+
+def _outcome(call, value, typed):
+    """The class of the typed error the call raises, or None if it answers."""
     try:
         call(value)
-    except typed:
-        pass
+    except typed as exc:
+        return type(exc)
+    return None
