@@ -484,6 +484,13 @@ class TestDomainCommands:
         assert code == 2
         assert json.loads(err)["error"] == "UnsupportedType"
 
+    def test_mu_past_the_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "domain-dims", "--weight", "2",
+                             "--hodge-numbers", "1,1000,1")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError" and "<= 48" in doc["message"]
+
     @pytest.mark.parametrize("numbers", ["1,x", "1.5,1.5", "1,"])
     def test_non_integer_hodge_numbers_exit_2(self, capsys, numbers):
         code, out, err = run(capsys, "domain-dims", "--weight", "1",
